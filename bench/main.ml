@@ -1310,155 +1310,6 @@ let a7 () =
   Fmt.pr "@.median warm speedup vs PR 2 term baseline: %.1fx (target: >= 5x)@."
     median_speedup_warm
 
-let a8 () =
-  header "A8" "ablation: domain-pool scaling of parallel candidate checking"
-    "ISSUE 4 tentpole: per-worker pebble caches over shared compiled games";
-  let host_cores = Domain.recommended_domain_count () in
-  Fmt.pr "Warm full enumeration (the A7 workloads) with the per-candidate@.";
-  Fmt.pr "maximality tests fanned across a domain pool; every domain count@.";
-  Fmt.pr "must reproduce the reference answers exactly.  Speedups are@.";
-  Fmt.pr "relative to --domains 1 (the sequential path) and bounded above by@.";
-  Fmt.pr "the host's core count — this host reports %d core(s).@.@." host_cores;
-  record ~experiment:"A8" ~metric:"host_cores" (float_of_int host_cores);
-  let domain_counts = if !fast then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
-  let n = if !fast then 10 else 14 in
-  let anchors = if !fast then 4 else 6 in
-  let social_forest =
-    Wdpt.Pattern_forest.of_algebra
-      (Sparql.Parser.parse_exn
-         "{ ?a p:knows ?b . OPTIONAL { ?b p:email ?m } OPTIONAL { ?b \
-          p:worksAt ?c OPTIONAL { ?c p:livesIn ?t } } }")
-  in
-  let workloads =
-    if !fast then
-      [
-        ( "f4-enumerate", 1, Query_families.f_k 4,
-          fst (Graph_families.tournament_instance ~seed:1 ~n) );
-        ( "social-optional", 1, social_forest,
-          Rdf.Generator.social ~seed:9 ~people:40 );
-      ]
-    else
-      [
-        ( "f6-enumerate", 1, Query_families.f_k 6,
-          fst (Graph_families.tournament_instance ~seed:2 ~n) );
-        ( "clique-child-4-enumerate", 2, [ Query_families.clique_child 4 ],
-          fst (stream_instance ~seed:3 ~n ~anchors) );
-        ( "social-optional", 1, social_forest,
-          Rdf.Generator.social ~seed:9 ~people:80 );
-        ( "uni-professor-profile", 1,
-          Wdpt.Pattern_forest.of_algebra
-            (Sparql.Parser.parse_exn
-               (List.assoc "professor-profile" University.queries)),
-          University.generate ~seed:9 ~universities:1 );
-      ]
-  in
-  Fmt.pr "%-26s %8s" "workload" "answers";
-  List.iter (fun d -> Fmt.pr " %8s" (Printf.sprintf "d%d(ms)" d)) domain_counts;
-  List.iter
-    (fun d -> if d > 1 then Fmt.pr " %7s" (Printf.sprintf "d%d-x" d))
-    domain_counts;
-  Fmt.pr "@.";
-  let speedups_by_d = Hashtbl.create 4 in
-  List.iter
-    (fun (name, k, forest, graph) ->
-      let runs = if !fast then 3 else 7 in
-      let reference =
-        Sparql.Eval.eval (Wdpt.Pattern_forest.to_algebra forest) graph
-      in
-      let verify d got =
-        if not (Sparql.Mapping.Set.equal got reference) then begin
-          Fmt.epr
-            "A8 %s: answers at %d domains diverge from the reference@." name d;
-          exit 1
-        end
-      in
-      (* one warm plan cache per domain count, so every variant runs in
-         the steady state it would reach under repeated Engine calls;
-         interleaved round-robin sampling as in A7 *)
-      Gc.compact ();
-      let variants =
-        Array.of_list
-          (List.map
-             (fun d ->
-               let cache = Wd_core.Plan_cache.create () in
-               let f () =
-                 Wd_core.Enumerate.solutions ~maximality:(`Pebble k) ~cache
-                   ~domains:d forest graph
-               in
-               let ans, t = time_once f in
-               verify d ans;
-               let batch =
-                 max 1
-                   (min 1000
-                      (int_of_float (Float.ceil (0.02 /. Float.max t 1e-6))))
-               in
-               (d, batch, f))
-             domain_counts)
-      in
-      let samples = Array.map (fun _ -> ref []) variants in
-      for _ = 1 to runs do
-        Array.iteri
-          (fun i (_, batch, f) ->
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to batch do
-              ignore (f ())
-            done;
-            samples.(i) :=
-              ((Unix.gettimeofday () -. t0) /. float_of_int batch)
-              :: !(samples.(i)))
-          variants
-      done;
-      let median_of i =
-        let sorted = List.sort compare !(samples.(i)) in
-        List.nth sorted (List.length sorted / 2)
-      in
-      let times =
-        Array.to_list (Array.mapi (fun i (d, _, _) -> (d, median_of i)) variants)
-      in
-      let t1 = List.assoc 1 times in
-      Fmt.pr "%-26s %8d" name (Sparql.Mapping.Set.cardinal reference);
-      List.iter (fun (_, t) -> Fmt.pr " %8.3f" (ms t)) times;
-      List.iter
-        (fun (d, t) ->
-          if d > 1 then begin
-            let speedup = t1 /. t in
-            Hashtbl.replace speedups_by_d d
-              (speedup
-              :: Option.value ~default:[] (Hashtbl.find_opt speedups_by_d d));
-            record ~experiment:"A8"
-              ~metric:(Printf.sprintf "%s.speedup_d%d" name d)
-              speedup;
-            Fmt.pr " %6.1fx" speedup
-          end)
-        times;
-      List.iter
-        (fun (d, t) ->
-          record ~experiment:"A8"
-            ~metric:(Printf.sprintf "%s.d%d_warm_ms" name d)
-            (ms t))
-        times;
-      Fmt.pr "@.")
-    workloads;
-  List.iter
-    (fun d ->
-      if d > 1 then
-        match Hashtbl.find_opt speedups_by_d d with
-        | Some sp ->
-            let sorted = List.sort compare sp in
-            let median = List.nth sorted (List.length sorted / 2) in
-            record ~experiment:"A8"
-              ~metric:(Printf.sprintf "median_speedup_d%d" d)
-              median;
-            Fmt.pr "@.median speedup at %d domains: %.2fx@." d median
-        | None -> ())
-    domain_counts;
-  Fmt.pr "@.shape: answers are bit-identical at every domain count (verified@.";
-  Fmt.pr "against the reference evaluator above — any divergence exits 1).@.";
-  Fmt.pr "Real speedup requires real cores: on a single-core host the pool@.";
-  Fmt.pr "degenerates to interleaved scheduling and the ratios hover at or@.";
-  Fmt.pr "below 1x, measuring only the coordination overhead; the per-worker@.";
-  Fmt.pr "verdict caches keep that overhead bounded (see PERFORMANCE.md).@."
-
 (* ------------------------------------------------------------------ *)
 (* A10 — ablation: cost-based planning vs per-prefix rescoring         *)
 (* ------------------------------------------------------------------ *)
@@ -1466,12 +1317,12 @@ let a8 () =
 let a10 () =
   header "A10" "ablation: cost-based join planning on skewed stores"
     "ISSUE 7 tentpole: compiled orders + incremental fail-first refinement";
-  Fmt.pr "Warm full enumeration on Zipf-skewed graphs under three join@.";
+  Fmt.pr "Warm full enumeration on Zipf-skewed graphs under two join@.";
   Fmt.pr "planning modes: per-prefix rescoring (the PR 3 exact fail-first@.";
-  Fmt.pr "baseline, --optimize off), the compiled static order, and the@.";
-  Fmt.pr "compiled order with incremental refinement plus per-node@.";
-  Fmt.pr "pebble-vs-naive maximality choices (--optimize on). Every variant@.";
-  Fmt.pr "is verified against the reference algebra evaluator.@.@.";
+  Fmt.pr "baseline, --optimize off) and the compiled order with incremental@.";
+  Fmt.pr "refinement plus per-node pebble-vs-naive maximality choices@.";
+  Fmt.pr "(--optimize on). Every variant is verified against the reference@.";
+  Fmt.pr "algebra evaluator.@.@.";
   let preds = [ "q0"; "q1"; "q2"; "q3"; "q4"; "q5" ] in
   (* Zipf-skewed stores: node 0 is the heaviest hub and predicate
      cardinalities fall off steeply, so uniform-guess join orders are
@@ -1515,8 +1366,8 @@ let a10 () =
         zg 25 120 1100 1.2 );
     ]
   in
-  Fmt.pr "%-20s %8s %11s %10s %11s %9s %9s@." "workload" "answers"
-    "rescore(ms)" "static(ms)" "adaptive(ms)" "static-x" "adapt-x";
+  Fmt.pr "%-20s %8s %11s %11s %9s@." "workload" "answers" "rescore(ms)"
+    "adaptive(ms)" "adapt-x";
   let adaptive_speedups = ref [] in
   List.iter
     (fun (name, forest, graph) ->
@@ -1541,12 +1392,10 @@ let a10 () =
           Wd_core.Enumerate.solutions ~maximality:(`Pebble dw) ~cache
             ~optimize forest graph
       in
-      let rescore = eval `Off
-      and static = eval `Static
-      and adaptive = eval `On in
+      let rescore = eval `Off and adaptive = eval `On in
       (* interleaved round-robin sampling, as in A7: probe each variant
          (verifying answers, sizing a >= 20ms batch), then sample the
-         three variants alternately so throughput drift hits the ratios
+         two variants alternately so throughput drift hits the ratios
          symmetrically *)
       Gc.compact ();
       let probe variant f =
@@ -1555,12 +1404,7 @@ let a10 () =
         ( max 1 (min 1000 (int_of_float (Float.ceil (0.02 /. Float.max t 1e-6)))),
           f )
       in
-      let variants =
-        [|
-          probe "rescore" rescore; probe "static" static;
-          probe "adaptive" adaptive;
-        |]
-      in
+      let variants = [| probe "rescore" rescore; probe "adaptive" adaptive |] in
       let samples = Array.map (fun _ -> ref []) variants in
       for _ = 1 to runs do
         Array.iteri
@@ -1577,25 +1421,18 @@ let a10 () =
         let sorted = List.sort compare !(samples.(i)) in
         List.nth sorted (List.length sorted / 2)
       in
-      let t_rescore = median_of 0
-      and t_static = median_of 1
-      and t_adaptive = median_of 2 in
-      let speedup_static = t_rescore /. t_static
-      and speedup_adaptive = t_rescore /. t_adaptive in
+      let t_rescore = median_of 0 and t_adaptive = median_of 1 in
+      let speedup_adaptive = t_rescore /. t_adaptive in
       adaptive_speedups := speedup_adaptive :: !adaptive_speedups;
       record ~experiment:"A10" ~metric:(name ^ ".rescore_ms") (ms t_rescore);
-      record ~experiment:"A10" ~metric:(name ^ ".static_ms") (ms t_static);
       record ~experiment:"A10" ~metric:(name ^ ".adaptive_ms") (ms t_adaptive);
-      record ~experiment:"A10" ~metric:(name ^ ".speedup_static")
-        speedup_static;
       record ~experiment:"A10" ~metric:(name ^ ".speedup_adaptive")
         speedup_adaptive;
       record ~experiment:"A10" ~metric:(name ^ ".answers")
         (float_of_int (Sparql.Mapping.Set.cardinal reference));
-      Fmt.pr "%-20s %8d %11.3f %10.3f %11.3f %8.2fx %8.2fx@." name
+      Fmt.pr "%-20s %8d %11.3f %11.3f %8.2fx@." name
         (Sparql.Mapping.Set.cardinal reference)
-        (ms t_rescore) (ms t_static) (ms t_adaptive) speedup_static
-        speedup_adaptive)
+        (ms t_rescore) (ms t_adaptive) speedup_adaptive)
     workloads;
   let median_speedup =
     let sorted = List.sort compare !adaptive_speedups in
@@ -1723,7 +1560,6 @@ let a11 () =
           host = "127.0.0.1";
           port = 0;
           workers = 2;
-          domains = 1;
           queue_capacity = 16;
           admission =
             {
@@ -2218,12 +2054,7 @@ let experiments =
     ("T3", t3); ("T4", t4); ("F4", f4); ("T5", t5); ("F5", f5);
     ("F6", f6); ("F7", f7); ("T6", t6); ("T7", t7);
     ("A1", a1); ("A2", a2); ("A3", a3); ("A4", a4); ("A5", a5); ("A6", a6);
-    (* A10 runs before A8: A8 leaves its borrowed worker domains alive
-       (pool registry), and idle domains tax every minor GC with
-       stop-the-world synchronization — uniform overhead that would
-       wash out A10's planner-mode ratios. *)
     ("A7", a7); ("A10", a10); ("A11", a11); ("A12", a12); ("A13", a13);
-    ("A8", a8);
     ("bechamel", bechamel_suite);
   ]
 

@@ -73,22 +73,21 @@ let check ?budget plan graph mu =
         ~kernel:(Pebble_eval.Cached (Plan_cache.pebble plan.cache graph))
         ~k plan.forest graph mu
 
-let solutions_stats ?budget ?domains plan graph =
+let solutions_stats ?budget plan graph =
   match plan.algorithm with
   | Naive -> (Wdpt.Semantics.solutions ?budget plan.forest graph, None)
   | Pebble k ->
       let answers =
-        Enumerate.solutions ?budget ?domains ~maximality:(`Pebble k)
+        Enumerate.solutions ?budget ~maximality:(`Pebble k)
           ~optimize:(if plan.optimize then `On else `Off)
           ~cache:plan.cache plan.forest graph
       in
       (answers, Some (Plan_cache.stats plan.cache))
 
-let solutions ?budget ?domains plan graph =
-  fst (solutions_stats ?budget ?domains plan graph)
+let solutions ?budget plan graph = fst (solutions_stats ?budget plan graph)
 
-let count ?budget ?domains plan graph =
-  Sparql.Mapping.Set.cardinal (solutions ?budget ?domains plan graph)
+let count ?budget plan graph =
+  Sparql.Mapping.Set.cardinal (solutions ?budget plan graph)
 
 let pp_width_source ppf = function
   | Exact -> Fmt.string ppf "exact"

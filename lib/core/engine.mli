@@ -80,27 +80,21 @@ val check :
 (** [µ ∈ ⟦P⟧G] with the planned algorithm. *)
 
 val solutions :
-  ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t ->
-  Sparql.Mapping.Set.t
+  ?budget:Resource.Budget.t -> plan -> Graph.t -> Sparql.Mapping.Set.t
 (** All answers: the shared-prefix enumerator under [Pebble], the baseline
-    enumerator under [Naive]. [domains] (default 1 — exactly the
-    sequential path) runs the per-candidate maximality tests on a domain
-    pool ({!Enumerate.solutions}); answers are identical for every
-    value. *)
+    enumerator under [Naive]. *)
 
 val solutions_stats :
-  ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t ->
+  ?budget:Resource.Budget.t -> plan -> Graph.t ->
   Sparql.Mapping.Set.t * Plan_cache.stats option
 (** Like {!solutions}, also returning the plan-cache counters accumulated
     over the plan's lifetime — pebble hits/misses/compiled/evictions,
     hom sources compiled, epoch invalidations ([None] under [Naive]) —
-    what [--explain] prints. Parallel workers' counters are merged in
-    before returning, so hits + misses always equals the number of
-    lookups regardless of [domains]. Because the cache lives on the
+    what [--explain] prints. Because the cache lives on the
     plan, repeated calls on the same graph reuse compiled artefacts and
     the counters keep growing. *)
 
-val count : ?budget:Resource.Budget.t -> ?domains:int -> plan -> Graph.t -> int
+val count : ?budget:Resource.Budget.t -> plan -> Graph.t -> int
 
 val pp_width_source : width_source Fmt.t
 val pp_plan : plan Fmt.t

@@ -6,7 +6,7 @@ module Encoded_hom = Encoded.Encoded_hom
 type maximality = [ `Hom | `Pebble of int ]
 type join = [ `Encoded | `Term ]
 
-type optimize = [ `Off | `Static | `On ]
+type optimize = [ `Off | `On ]
 
 (* ------------------------------------------------------------------ *)
 (* Term-level join (the PR 2 baseline, kept for ablation A7)           *)
@@ -74,8 +74,8 @@ let solutions_tree_term ~budget ~maximality ~kernel tree graph =
    the parent's solution array IS the child join's [pre] (no map union,
    no re-encoding), and terms only reappear at the solution boundary
    where the maximality test needs a mapping. *)
-let solutions_tree_encoded ~budget ~maximality ~kernel ~cache ~pool ~optimize
-    tree graph =
+let solutions_tree_encoded ~budget ~maximality ~kernel ~cache ~optimize tree
+    graph =
   Budget.with_phase budget "enumerate" @@ fun () ->
   let results = ref Sparql.Mapping.Set.empty in
   let vars = Plan_cache.variables cache graph tree in
@@ -105,7 +105,6 @@ let solutions_tree_encoded ~budget ~maximality ~kernel ~cache ~pool ~optimize
   let strategy_of n =
     match optimize with
     | `Off -> Encoded_hom.Rescore
-    | `Static -> Encoded_hom.Fixed (decision_of n).Optimizer.Join_order.order
     | `On -> Encoded_hom.Adaptive (decision_of n).Optimizer.Join_order.order
   in
   (* The optimizer's pebble-vs-naive verdict: when a child's estimated
@@ -120,16 +119,6 @@ let solutions_tree_encoded ~budget ~maximality ~kernel ~cache ~pool ~optimize
       tree n
   in
   let root_source = source_of Wdpt.Pattern_tree.root in
-  (* Compile every node's source and decision up front when optimizing:
-     worker domains must never touch the plan cache's tables (they are
-     plain Hashtbls), and the sequential path pays the same cost on first
-     visit anyway. *)
-  (if optimize <> `Off then
-     List.iter
-       (fun n ->
-         ignore (source_of n);
-         ignore (decision_of n))
-       (Wdpt.Pattern_tree.nodes tree));
   (* decoding any node's source decodes the whole shared array *)
   let decode h = Encoded_hom.decode root_source h in
   let add_solution mu =
@@ -160,50 +149,8 @@ let solutions_tree_encoded ~budget ~maximality ~kernel ~cache ~pool ~optimize
           | None -> ()
           | Some mu -> if maximal subtree mu then add_solution mu)
   in
-  (* Parallel candidate checking: the maximality test of each candidate
-     in a batch is independent, so they fan out across the pool. Each
-     worker slot gets its own pebble-cache view (private verdict memo
-     and slot tables over the shared compiled games) and its own budget
-     view (shared fuel pool / cancellation flag), both staged lazily
-     per batch on the domain that owns the slot. The caller merges
-     results in input order, so [add_solution] — dedup, solution cap —
-     sees exactly the sequential sequence and answers are identical to
-     [domains:1]. *)
-  let par =
-    match (pool, id_kernel) with
-    | Some pool, Some (k, c) when Parallel.Pool.size pool > 1 ->
-        Some (pool, Budget.fork budget (Parallel.Pool.size pool), k, c)
-    | _ -> None
-  in
-  let visit_batch =
-    match par with
-    | Some (pool, wbudgets, k, c) ->
-        fun subtree homs ->
-          (* Workers always stage the pebble test, even for nodes the
-             optimizer would run naively: the naive verdict memo is a
-             plain shared Hashtbl (sequential path only), and the pool's
-             per-worker pebble views already amortize the staging cost
-             the naive choice exists to avoid. Both tests are exact, so
-             answers are unchanged. *)
-          let stage slot =
-            let budget = wbudgets.(slot) in
-            let view = Pebble_cache.worker_view_for c slot in
-            List.map
-              (fun n ->
-                Pebble_cache.stage_child_test_ids view ~budget ~k tree ~vars
-                  subtree n)
-              (Wdpt.Subtree.children subtree)
-          in
-          Parallel.Pool.fold_ordered pool ~init:stage
-            ~f:(fun tests h ->
-              if List.exists (fun test -> test h) tests then None
-              else Sparql.Mapping.of_assignment (decode h))
-            ~merge:(fun () -> Option.iter add_solution)
-            () homs
-    | None -> fun subtree homs -> List.iter (visit subtree) homs
-  in
   let rec go subtree homs last =
-    visit_batch subtree homs;
+    List.iter (visit subtree) homs;
     List.iter
       (fun n ->
         if n > last then begin
@@ -223,28 +170,15 @@ let solutions_tree_encoded ~budget ~maximality ~kernel ~cache ~pool ~optimize
         end)
       (Wdpt.Subtree.children subtree)
   in
-  let run () =
-    let root_homs =
-      Encoded_hom.fold ~budget
-        ~strategy:(strategy_of Wdpt.Pattern_tree.root)
-        root_source ~init:[]
-        ~f:(fun acc h -> (Array.copy h :: acc, `Continue))
-    in
-    if root_homs <> [] then
-      go (Wdpt.Subtree.root_only tree) root_homs Wdpt.Pattern_tree.root;
-    !results
+  let root_homs =
+    Encoded_hom.fold ~budget
+      ~strategy:(strategy_of Wdpt.Pattern_tree.root)
+      root_source ~init:[]
+      ~f:(fun acc h -> (Array.copy h :: acc, `Continue))
   in
-  match par with
-  | None -> run ()
-  | Some (_, wbudgets, _, c) ->
-      (* also on exception paths: the budget views' spending folds back
-         into the caller's budget and the worker views' cache counters
-         into the shared cache *)
-      Fun.protect
-        ~finally:(fun () ->
-          Budget.join budget wbudgets;
-          Pebble_cache.absorb_views c)
-        run
+  if root_homs <> [] then
+    go (Wdpt.Subtree.root_only tree) root_homs Wdpt.Pattern_tree.root;
+  !results
 
 (* Resolve the shared defaults once: the kernel defaults to the cache's
    pebble cache under [`Pebble] (so the id-level fast path kicks in) and
@@ -255,51 +189,37 @@ let defaults ~maximality ~kernel ~cache graph =
   | _, Some kernel -> kernel
   | `Hom, None -> Pebble_eval.Term
 
-let solutions_tree_with ~budget ~maximality ~kernel ~join ~cache ~pool
-    ~optimize tree graph =
+let solutions_tree_with ~budget ~maximality ~kernel ~join ~cache ~optimize
+    tree graph =
   match join with
   | `Term -> solutions_tree_term ~budget ~maximality ~kernel tree graph
   | `Encoded ->
-      solutions_tree_encoded ~budget ~maximality ~kernel ~cache ~pool
-        ~optimize tree graph
+      solutions_tree_encoded ~budget ~maximality ~kernel ~cache ~optimize tree
+        graph
 
 let solutions_tree ?(budget = Budget.unlimited) ?(maximality = `Hom) ?kernel
-    ?(join = `Encoded) ?cache ?(domains = 1) ?(optimize = `Off) tree graph =
+    ?(join = `Encoded) ?cache ?(optimize = `Off) tree graph =
   let cache =
     match cache with Some c -> c | None -> Plan_cache.create ()
   in
   let kernel = defaults ~maximality ~kernel ~cache graph in
-  if domains <= 1 || join = `Term then
-    solutions_tree_with ~budget ~maximality ~kernel ~join ~cache ~pool:None
-      ~optimize tree graph
-  else
-    Parallel.Pool.borrow ~domains (fun pool ->
-        solutions_tree_with ~budget ~maximality ~kernel ~join ~cache
-          ~pool:(Some pool) ~optimize tree graph)
+  solutions_tree_with ~budget ~maximality ~kernel ~join ~cache ~optimize tree
+    graph
 
 let solutions ?(budget = Budget.unlimited) ?(maximality = `Hom) ?kernel
-    ?(join = `Encoded) ?cache ?(domains = 1) ?(optimize = `Off) forest graph =
+    ?(join = `Encoded) ?cache ?(optimize = `Off) forest graph =
   (* One plan cache (and hence one pebble cache) across the whole forest:
      trees share the graph and often the same child patterns, so games
      and verdicts carry over. *)
   let cache = match cache with Some c -> c | None -> Plan_cache.create () in
   let kernel = defaults ~maximality ~kernel ~cache graph in
-  let run pool =
-    List.fold_left
-      (fun acc tree ->
-        Sparql.Mapping.Set.union acc
-          (solutions_tree_with ~budget ~maximality ~kernel ~join ~cache ~pool
-             ~optimize tree graph))
-      Sparql.Mapping.Set.empty forest
-  in
-  if domains <= 1 || join = `Term then run None
-  else
-    (* one borrowed pool across the whole forest, so domains spawn (at
-       most) once per evaluation, not once per tree *)
-    Parallel.Pool.borrow ~domains (fun pool -> run (Some pool))
+  List.fold_left
+    (fun acc tree ->
+      Sparql.Mapping.Set.union acc
+        (solutions_tree_with ~budget ~maximality ~kernel ~join ~cache
+           ~optimize tree graph))
+    Sparql.Mapping.Set.empty forest
 
-let count ?budget ?maximality ?kernel ?join ?cache ?domains ?optimize forest
-    graph =
+let count ?budget ?maximality ?kernel ?join ?cache ?optimize forest graph =
   Sparql.Mapping.Set.cardinal
-    (solutions ?budget ?maximality ?kernel ?join ?cache ?domains ?optimize
-       forest graph)
+    (solutions ?budget ?maximality ?kernel ?join ?cache ?optimize forest graph)

@@ -28,57 +28,41 @@ open Rdf
 type maximality = [ `Hom | `Pebble of int ]
 type join = [ `Encoded | `Term ]
 
-type optimize = [ `Off | `Static | `On ]
+type optimize = [ `Off | `On ]
 (** Join planning mode of the encoded join (ablation A10):
     - [`Off] (default): exact fail-first per-prefix rescoring — every
       pattern of the node is re-counted at every depth (the PR 3
       baseline, {!Encoded.Encoded_hom.Rescore});
-    - [`Static]: the cost-based compiled order of
-      {!Plan_cache.node_decision}, followed rigidly
-      ({!Encoded.Encoded_hom.Fixed});
-    - [`On]: the compiled order as seed with incremental fail-first
-      refinement — only patterns touched by a newly bound variable are
-      re-counted ({!Encoded.Encoded_hom.Adaptive}), and each node's
-      Lemma-1 test runs naively instead of through the pebble relaxation
-      when the optimizer estimates very few candidate extensions (both
-      exact under the planner's [dw ≤ k] invariant, so answers never
-      change — tested). *)
+    - [`On]: the cost-based compiled order of {!Plan_cache.node_decision}
+      as seed with incremental fail-first refinement — only patterns
+      touched by a newly bound variable are re-counted
+      ({!Encoded.Encoded_hom.Adaptive}), and each node's Lemma-1 test
+      runs naively instead of through the pebble relaxation when the
+      optimizer estimates very few candidate extensions (both exact
+      under the planner's [dw ≤ k] invariant, so answers never change —
+      tested). *)
 
 val solutions_tree :
   ?budget:Resource.Budget.t ->
   ?maximality:maximality -> ?kernel:Pebble_eval.kernel ->
-  ?join:join -> ?cache:Plan_cache.t -> ?domains:int -> ?optimize:optimize ->
+  ?join:join -> ?cache:Plan_cache.t -> ?optimize:optimize ->
   Wdpt.Pattern_tree.t -> Graph.t -> Sparql.Mapping.Set.t
 
 val solutions :
   ?budget:Resource.Budget.t ->
   ?maximality:maximality -> ?kernel:Pebble_eval.kernel ->
-  ?join:join -> ?cache:Plan_cache.t -> ?domains:int -> ?optimize:optimize ->
+  ?join:join -> ?cache:Plan_cache.t -> ?optimize:optimize ->
   Wdpt.Pattern_forest.t -> Graph.t -> Sparql.Mapping.Set.t
 (** Equals {!Wdpt.Semantics.solutions} under [`Hom], and under
     [`Pebble k] whenever [dw(F) ≤ k] (tested). One {!Plan_cache.t} is
     shared across the whole forest — pass [cache] to supply your own
     (e.g. a plan's cache, to reuse compiled sources and pebble games
     across calls, or to read its stats afterwards); pass [kernel] to
-    force a specific child-test kernel (e.g. the term-level one).
-
-    [domains] (default 1) sets the total parallelism of the per-batch
-    maximality tests: with [domains > 1] a borrowed domain pool
-    ({!Parallel.Pool.borrow}) fans the staged id-level child tests of
-    each candidate batch across workers, each with a private
-    pebble-cache view, merging results back in sequential order — the
-    answer {e set and its construction order} are identical to
-    [domains:1] for every [n] (tested as a qcheck property). The
-    parallel path engages on the encoded join with the graph's own
-    cached [`Pebble] kernel (the default setup); other kernel/join
-    combinations fall back to sequential evaluation. Budgets propagate:
-    workers draw from a shared fuel pool and a deadline or cancellation
-    on any domain stops the others within one lease
-    ({!Resource.Budget.fork}). *)
+    force a specific child-test kernel (e.g. the term-level one). *)
 
 val count :
   ?budget:Resource.Budget.t -> ?maximality:maximality ->
   ?kernel:Pebble_eval.kernel -> ?join:join -> ?cache:Plan_cache.t ->
-  ?domains:int -> ?optimize:optimize ->
+  ?optimize:optimize ->
   Wdpt.Pattern_forest.t -> Graph.t -> int
 (** Number of distinct answers. *)

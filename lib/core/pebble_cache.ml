@@ -68,17 +68,6 @@ type t = {
   mutable families : int;
   mutable evictions : int;
   unary : Encoded.Encoded_pebble.unary_cache;
-  (* Parallel structure. A root cache ([parent = None]) owns the
-     authoritative games table and tree stamps, guarded by [lock] so
-     worker views can delegate compile-or-lookup to it. A worker view
-     ([parent = Some root]) shares the root's compiled games read-only
-     and keeps everything mutable — verdict tables, LRU list, slot
-     memos, counters — private to its own domain. *)
-  lock : Mutex.t;
-  parent : t option;
-  views : (int, t) Hashtbl.t;
-      (* root only: memoized worker views per pool slot, so their
-         verdict memos stay warm across evaluations *)
 }
 
 let create ?(memo = true) ?(verdict_capacity = default_verdict_capacity) graph =
@@ -100,67 +89,9 @@ let create ?(memo = true) ?(verdict_capacity = default_verdict_capacity) graph =
     families = 0;
     evictions = 0;
     unary = Encoded.Encoded_pebble.create_unary_cache ();
-    lock = Mutex.create ();
-    parent = None;
-    views = Hashtbl.create 8;
   }
 
 let graph t = t.graph
-let root t = match t.parent with None -> t | Some r -> r
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let worker_view t =
-  let r = root t in
-  {
-    graph = r.graph;
-    enc = r.enc;
-    memo = r.memo;
-    verdict_capacity = r.verdict_capacity;
-    games = Hashtbl.create 64;
-    stamps = [] (* unused: stamps live on the root *);
-    lru_head = None;
-    lru_tail = None;
-    lru_size = 0;
-    hits = 0;
-    misses = 0;
-    compiled = 0;
-    families = 0;
-    evictions = 0;
-    unary = r.unary (* only the root compiles against it *);
-    lock = Mutex.create ();
-    parent = Some r;
-    views = Hashtbl.create 1;
-  }
-
-let worker_view_for t slot =
-  let r = root t in
-  with_lock r.lock @@ fun () ->
-  match Hashtbl.find_opt r.views slot with
-  | Some v -> v
-  | None ->
-      let v = worker_view r in
-      Hashtbl.add r.views slot v;
-      v
-
-let absorb t view =
-  let t = root t in
-  t.hits <- t.hits + view.hits;
-  t.misses <- t.misses + view.misses;
-  t.compiled <- t.compiled + view.compiled;
-  t.families <- t.families + view.families;
-  t.evictions <- t.evictions + view.evictions;
-  view.hits <- 0;
-  view.misses <- 0;
-  view.compiled <- 0;
-  view.families <- 0;
-  view.evictions <- 0
-
-let absorb_views t =
-  let r = root t in
-  Hashtbl.iter (fun _ v -> absorb r v) r.views
 
 let stats t =
   let unary_hits, unary_misses =
@@ -213,17 +144,12 @@ let lru_insert t node =
         t.lru_size <- t.lru_size - 1;
         t.evictions <- t.evictions + 1
 
-(* Tree stamps are part of game keys, so worker views must agree with
-   the root on them: stamping always happens on the root, under its
-   lock. *)
 let stamp_of t tree =
-  let r = root t in
-  with_lock r.lock @@ fun () ->
-  match List.find_opt (fun (tr, _) -> tr == tree) r.stamps with
+  match List.find_opt (fun (tr, _) -> tr == tree) t.stamps with
   | Some (_, id) -> id
   | None ->
-      let id = List.length r.stamps in
-      r.stamps <- (tree, id) :: r.stamps;
+      let id = List.length t.stamps in
+      t.stamps <- (tree, id) :: t.stamps;
       id
 
 (* Compile the child test for (subtree, n): the union game
@@ -287,33 +213,12 @@ let game_for t ~k tree subtree n =
         key_k = k;
       }
     in
-    (* compile-or-lookup on the root is serialised under its lock; the
-       compiled game (anchor, game, params) is immutable afterwards and
-       safe to share across domains *)
-    let shared_game r =
-      with_lock r.lock @@ fun () ->
-      match Hashtbl.find_opt r.games key with
-      | Some g -> g
-      | None ->
-          let g = compile_game r ~k tree subtree n in
-          Hashtbl.add r.games key g;
-          g
-    in
-    match t.parent with
-    | None -> shared_game t
-    | Some r -> (
-        (* the view's own table is domain-private, so the fast path
-           needs no lock *)
-        match Hashtbl.find_opt t.games key with
-        | Some g -> g
-        | None ->
-            (* private verdict table and slot memo over the shared
-               compiled game *)
-            let g =
-              { (shared_game r) with verdicts = Hashtbl.create 256; slots = None }
-            in
-            Hashtbl.add t.games key g;
-            g)
+    match Hashtbl.find_opt t.games key with
+    | Some g -> g
+    | None ->
+        let g = compile_game t ~k tree subtree n in
+        Hashtbl.add t.games key g;
+        g
   end
 
 let id_of_var dict mu v =

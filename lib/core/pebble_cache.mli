@@ -106,34 +106,5 @@ val stage_child_test_ids :
     once per candidate batch instead of re-resolving them per
     candidate. *)
 
-val worker_view : t -> t
-(** A domain-private view over the same cache for one pool worker.
-    Compiled child games are shared with the root cache read-only
-    (compile-or-lookup is serialised on the root, under a mutex);
-    everything mutable — verdict tables, the LRU recency list, the
-    per-game slot memos, the hit/miss/family/eviction counters — is
-    private to the view, so workers never contend after a game exists.
-    A view must only ever be used by one domain at a time; hand its
-    counters back with {!absorb} when the parallel region ends.
-    Views of a view share the one root. *)
-
-val worker_view_for : t -> int -> t
-(** The memoized {!worker_view} of this cache for pool slot [slot]:
-    one view per slot, created on first use and kept on the root, so a
-    worker's verdict memo stays warm across evaluations that reuse the
-    same pool. *)
-
-val absorb : t -> t -> unit
-(** [absorb t view] folds [view]'s counters into [t] (the root) and
-    zeroes them on the view, so {!stats} of the root reports the whole
-    evaluation including parallel work. Call after the workers have
-    quiesced (the pool's batch completion is the synchronisation
-    point). Unary-domain counters live on the shared root already and
-    are not double-counted. *)
-
-val absorb_views : t -> unit
-(** {!absorb} every memoized worker view of this cache's root. What the
-    enumerator calls when a parallel evaluation ends. *)
-
 val stats : t -> stats
 val pp_stats : stats Fmt.t

@@ -150,11 +150,6 @@ let entry_for t graph =
           List.iter
             (fun old ->
               t.plan_evictions <- t.plan_evictions + 1;
-              (* fold outstanding worker-view counters into the root
-                 first: retiring the bare root stats would drop whatever
-                 the views hadn't absorbed yet, making [stats] totals
-                 dip across invalidation churn *)
-              Pebble_cache.absorb_views old.pebble;
               t.retired <-
                 add_pebble_stats t.retired (Pebble_cache.stats old.pebble))
             evicted;

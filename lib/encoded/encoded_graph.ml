@@ -67,9 +67,10 @@ and union_info = {
   u_owner : int -> int;  (* predicate id -> owning member index *)
   u_total : int;  (* live triples across all members *)
   u_lock : Mutex.t;
-      (* guards member forcing, the touched flags and [u_merged]:
-         worker domains route queries concurrently, and OCaml [Lazy]
-         is not safe under parallel forcing *)
+      (* guards member forcing, the touched flags and [u_merged]: the
+         server's worker threads route queries over one shard set
+         concurrently, and OCaml [Lazy] is not safe to force from two
+         threads at once *)
   mutable u_merged : arrays option;
       (* globally sorted permutations, materialized only if something
          needs positional access across the whole set (the writer,
@@ -164,9 +165,10 @@ let cache : (int * t) list ref = ref []
    view is a closure that keeps its mapping reachable on its own. *)
 let registered : (int, t) Hashtbl.t = Hashtbl.create 8
 
-(* Guards [cache] and [registered]: worker domains resolve stores
-   through [of_graph_cached] while the main domain may [register] or
-   [clear_cache], so every touch of either table is serialized. *)
+(* Guards [cache] and [registered]: server worker threads resolve stores
+   through [of_graph_cached] while a reload may [register] a fresh store
+   or a caller [clear_cache], so every touch of either table is
+   serialized. *)
 let cache_lock = Mutex.create ()
 
 let register t =
@@ -209,7 +211,7 @@ let of_graph_cached graph =
               List.find_opt (fun (e, _) -> e = key) !cache )
           with
           | Some winner, _ | None, Some (_, winner) ->
-              (* another domain finished (or registered) first: keep one
+              (* another thread finished (or registered) first: keep one
                  canonical store per identity so memo hits stay shared *)
               winner
           | None, None ->

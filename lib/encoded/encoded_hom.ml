@@ -36,9 +36,6 @@ type strategy =
   | Rescore
       (* exact fail-first: re-score every remaining pattern at every
          node entry (the pre-optimizer behaviour, kept as the fallback) *)
-  | Fixed of int array
-      (* a compiled static order (a permutation of pattern indices),
-         followed verbatim — zero scoring at run time *)
   | Adaptive of int array
       (* the compiled order seeds the ranking; scores are maintained
          incrementally — only patterns touching a newly bound variable
@@ -187,9 +184,6 @@ let fold ?(budget = Resource.Budget.unlimited) ?(strategy = Rescore) ?pre
     let mode, rank =
       match strategy with
       | Rescore -> (`Rescore, [||])
-      | Fixed ord ->
-          validate_order npat ord;
-          (`Fixed ord, [||])
       | Adaptive ord ->
           validate_order npat ord;
           let rank = Array.make npat 0 in
@@ -208,11 +202,10 @@ let fold ?(budget = Resource.Budget.unlimited) ?(strategy = Rescore) ?pre
     let score, stale =
       match mode with
       | `Adaptive -> (Array.make npat 0, Array.make npat true)
-      | `Rescore | `Fixed _ -> ([||], [||])
+      | `Rescore -> ([||], [||])
     in
-    let select depth =
+    let select () =
       match mode with
-      | `Fixed ord -> ord.(depth)
       | `Adaptive ->
           let best = ref (-1) in
           for i = 0 to npat - 1 do
@@ -249,7 +242,7 @@ let fold ?(budget = Resource.Budget.unlimited) ?(strategy = Rescore) ?pre
       if depth = npat then f acc assignment
       else begin
         Resource.Budget.tick budget;
-        let best = select depth in
+        let best = select () in
         used.(best) <- true;
         let ((ps, pp, po) as pat) = pats.(best) in
         let s, p, o = pattern_lookup assignment pat in

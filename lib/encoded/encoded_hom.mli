@@ -55,9 +55,6 @@ type strategy =
       (** exact fail-first: re-score {e every} remaining pattern at every
           node entry with a fresh range count — the pre-optimizer
           behaviour, kept as the fallback *)
-  | Fixed of int array
-      (** follow a compiled static order (a permutation of pattern
-          indices) verbatim; zero scoring at run time *)
   | Adaptive of int array
       (** fail-first with incremental re-ranking: the compiled order
           seeds the ranking (and breaks score ties), scores start from

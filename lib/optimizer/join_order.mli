@@ -5,7 +5,7 @@
     (smallest {!Cost_model.estimate}), then extended greedily under
     bound-variable propagation — after a pattern is placed, its variables
     count as bound for every later estimate. The compiled order feeds
-    {!Encoded.Encoded_hom.fold}'s [Fixed]/[Adaptive] strategies, and the
+    {!Encoded.Encoded_hom.fold}'s [Adaptive] strategy, and the
     estimated extension count decides whether the Lemma-1 maximality test
     for the node runs as a naive (exact backtracking) check or the pebble
     relaxation — bench F1's crossover made concrete per node. *)

@@ -12,11 +12,12 @@
    cost of a term is paid at most once per process, and a store that is
    never decoded never materialises a single term.
 
-   Domain safety: heap dictionaries are built single-threaded and are
+   Thread safety: heap dictionaries are built single-threaded and are
    read-only afterwards, so their lookup/decode paths stay lock-free.
-   View-backed dictionaries mutate their memo tables on the read path
-   (and parallel evaluation decodes on worker domains), so every path
-   that touches a view dictionary's mutable state runs under [lock]. *)
+   View-backed dictionaries mutate their memo tables on the read path,
+   and the server's worker threads decode through one shared store, so
+   every path that touches a view dictionary's mutable state runs under
+   [lock]. *)
 
 type view = {
   view_size : int;

@@ -35,10 +35,11 @@ val of_view : view -> t
 
     View-backed dictionaries memoize on the read path, so {!find},
     {!term_of} and {!intern} on them are serialized behind an internal
-    mutex and are safe to call from concurrent worker domains (the view
-    closures themselves must be pure, as required above). Heap
-    dictionaries ({!create}, {!of_graph}, …) take no lock: build them
-    before fanning out and treat them as read-only while shared. *)
+    mutex and are safe to call from concurrent threads or domains — the
+    server's worker threads share one store (the view closures
+    themselves must be pure, as required above). Heap dictionaries
+    ({!create}, {!of_graph}, …) take no lock: build them before sharing
+    and treat them as read-only while shared. *)
 
 val of_terms : Term.t list -> t
 val of_graph : Graph.t -> t

@@ -23,7 +23,6 @@ type config = {
   host : string;
   port : int;  (* 0 = ephemeral, see [port] *)
   workers : int;
-  domains : int;  (* parallelism inside one evaluation *)
   queue_capacity : int;
   admission : Admission.config;
   max_request_bytes : int;
@@ -381,14 +380,30 @@ let results_json ~canon plan answers =
       (Rdf.Variable.Set.elements (Wdpt.Pattern_forest.vars plan.Engine.forest))
     |> List.sort_uniq Rdf.Variable.compare
   in
+  (* SPARQL 1.1 JSON results: literals travel as IRIs inside the engine
+     and are decoded back to their value, language tag or datatype here *)
+  let term iri =
+    match Rdf.Literal.decode iri with
+    | None ->
+        Json.Obj
+          [ ("type", Json.String "uri");
+            ("value", Json.String (Rdf.Iri.to_string iri)) ]
+    | Some lit ->
+        let extra =
+          match (lit.lang, lit.datatype) with
+          | Some l, _ -> [ ("xml:lang", Json.String l) ]
+          | None, Some d -> [ ("datatype", Json.String (Rdf.Iri.to_string d)) ]
+          | None, None -> []
+        in
+        Json.Obj
+          (("type", Json.String "literal")
+          :: ("value", Json.String lit.value)
+          :: extra)
+  in
   let binding mu =
     Json.Obj
       (List.map
-         (fun (v, iri) ->
-           ( Rdf.Variable.to_string v,
-             Json.Obj
-               [ ("type", Json.String "uri");
-                 ("value", Json.String (Rdf.Iri.to_string iri)) ] ))
+         (fun (v, iri) -> (Rdf.Variable.to_string v, term iri))
          (Sparql.Mapping.to_list (Canonical.rename_back canon mu)))
   in
   Json.Obj
@@ -500,8 +515,7 @@ let handle_sparql t conn ~deadline ~idx ~fault req =
               E.fail (E.Internal "poisoned plan-cache entry (injected)")
             end;
             let answers =
-              Engine.solutions ~budget ~domains:t.config.domains entry.plan
-                graph
+              Engine.solutions ~budget entry.plan graph
             in
             Json.to_string (results_json ~canon entry.plan answers))
       in
@@ -843,8 +857,8 @@ let install_signal_handlers t =
 let run config =
   let t = start config in
   install_signal_handlers t;
-  Fmt.pr "wdsparql: listening on http://%s:%d (workers %d, domains %d)@."
-    config.host t.port config.workers config.domains;
+  Fmt.pr "wdsparql: listening on http://%s:%d (workers %d)@." config.host
+    t.port config.workers;
   (match Faults.to_string config.faults with
   | "" -> ()
   | spec -> Fmt.pr "wdsparql: fault injection armed: %s@." spec);

@@ -19,7 +19,6 @@ type config = {
   host : string;
   port : int;  (** 0 = pick an ephemeral port; see {!port} *)
   workers : int;  (** worker threads handling connections *)
-  domains : int;  (** parallelism inside a single evaluation *)
   queue_capacity : int;  (** accept-queue watermark *)
   admission : Admission.config;
   max_request_bytes : int;

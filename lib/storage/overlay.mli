@@ -48,5 +48,5 @@ val merge :
 (** The merged view of [base] (sorted by [rot]) with [adds] inserted and
     [dels] suppressed. Requires what {!compose} guarantees: every add
     absent from the base, every del present, adds and dels disjoint. The
-    input arrays are copied; the result is a pure view safe to share
-    across domains. *)
+    input arrays are copied; the result is a pure view, safe to share
+    across the server's worker threads. *)

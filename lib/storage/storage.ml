@@ -1066,7 +1066,7 @@ let load_manifest ?(verify = false) path =
   (* Shared dictionary: every member carries the full term table, so ids
      are global — serve it from slice 0's sections, mapped on first
      touch. The Dictionary wrapper serializes view calls, so the lazy
-     force is domain-safe. *)
+     force is safe under concurrent server threads. *)
   let dict_view0 =
     lazy
       (let mp = member_path 0 in

@@ -815,10 +815,9 @@ let test_codebase_lint_overlay () =
                (Fmt.str "%a" Lint_rules.pp_violation v))
            violations))
 
-(* PR 10 satellite: a module that creates a Mutex advertises multi-domain
+(* PR 10 satellite: a module that creates a Mutex advertises concurrent
    use — every mutation of its top-level Hashtbls must then take the
-   lock, or it is a data race. lib/parallel owns the locking discipline
-   and is exempt. *)
+   lock, or it is a data race. No directory is exempt. *)
 let test_codebase_lint_domain_safety () =
   check Alcotest.bool "satisfiability.ml is in the kernel manifest" true
     (List.mem "analysis/satisfiability.ml" Lint_rules.kernel_modules);
@@ -838,11 +837,6 @@ let test_codebase_lint_domain_safety () =
       (* no mutex, no multi-domain claim: a plain table is fine *)
       ( "rdf/plain.ml",
         "let table = Hashtbl.create 7\nlet put k v = Hashtbl.add table k v\n" );
-      (* the parallel runtime is exempt *)
-      ( "parallel/pool.ml",
-        "let lock = Mutex.create ()\n\
-         let table = Hashtbl.create 7\n\
-         let put k v = Hashtbl.replace table k v\n" );
     ]
     (fun root ->
       let violations = Lint_rules.check_tree ~manifest:[] ~root () in

@@ -266,6 +266,31 @@ let test_classify () =
   | Classify.Not_well_designed -> ()
   | _ -> Alcotest.fail "expected Not_well_designed")
 
+(* ------------------------------------------------------------------ *)
+(* Budgets through the engine                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* An engine-level evaluation that runs out of fuel reports the
+   evaluation stage it stopped in, not the planner's. *)
+let test_engine_exhaustion_phase () =
+  let pattern =
+    Sparql.Parser.parse_exn
+      "{ ?a p:knows ?b . OPTIONAL { ?b p:email ?m } OPTIONAL { ?a p:knows \
+       ?c } }"
+  in
+  let plan = Engine.plan pattern in
+  match
+    Engine.solutions
+      ~budget:(Resource.Budget.make ~fuel:500 ())
+      plan
+      (Rdf.Generator.social ~seed:21 ~people:80)
+  with
+  | _ -> Alcotest.fail "a 500-tick budget should not cover this evaluation"
+  | exception Resource.Budget.Exhausted { phase; spent } ->
+      check Alcotest.bool "phase names an evaluation stage" true
+        (List.mem phase [ "enumerate"; "pebble"; "hom" ]);
+      check Alcotest.bool "spent is positive" true (spent > 0)
+
 let () =
   Alcotest.run "wd_core"
     [
@@ -298,4 +323,9 @@ let () =
           td_eval_equals_naive;
         ] );
       ("classify", [ Alcotest.test_case "classify" `Quick test_classify ]);
+      ( "budget propagation",
+        [
+          Alcotest.test_case "exhaustion carries the phase" `Quick
+            test_engine_exhaustion_phase;
+        ] );
     ]

@@ -1,7 +1,7 @@
 (* The compiled on-disk store (lib/storage): round-trip fidelity,
    differential equivalence of evaluation over the mapped store against
-   the heap store, stable identity across reloads, cache-eviction safety
-   (including parallel evaluation), and corruption fuzzing — a damaged
+   the heap store, stable identity across reloads, cache-eviction safety,
+   concurrent dictionary decoding, and corruption fuzzing — a damaged
    file must always surface as [Wdsparql_error.Store_error], never a raw
    [Failure] or a crash inside the mapping. *)
 
@@ -130,9 +130,9 @@ let test_identity_stable () =
 (* Differential evaluation: heap store vs mapped store                 *)
 (* ------------------------------------------------------------------ *)
 
-let solutions ?(domains = 1) ~optimize pattern graph =
+let solutions ~optimize pattern graph =
   let plan = Wd_core.Engine.plan ~optimize pattern in
-  Wd_core.Engine.solutions ~domains plan graph
+  Wd_core.Engine.solutions plan graph
 
 let test_differential () =
   let cases = 200 in
@@ -168,10 +168,9 @@ let test_differential () =
         end)
   done
 
-(* Cache eviction while a mapped store is in use, including on worker
-   domains: dropping the registry must never invalidate a live
-   evaluation, and a handle resolved after the drop falls back to its
-   exact term-level decode. *)
+(* Cache eviction while a mapped store is in use: dropping the registry
+   must never invalidate a live evaluation, and a handle resolved after
+   the drop falls back to its exact term-level decode. *)
 let test_clear_cache_mid_life () =
   let g = graph_of 7 in
   let pattern =
@@ -181,14 +180,14 @@ let test_clear_cache_mid_life () =
   with_store_file (E.of_graph g) (fun path ->
       let h = Storage.load_graph path in
       let reference = solutions ~optimize:true pattern g in
-      let before = solutions ~domains:2 ~optimize:true pattern h in
+      let before = solutions ~optimize:true pattern h in
       E.clear_cache ();
       Gc.full_major ();
       (* registry is gone: this resolution falls back to encoding the
          handle's decoded triples — answers must not change *)
-      let after = solutions ~domains:2 ~optimize:true pattern h in
+      let after = solutions ~optimize:true pattern h in
       (* a fresh load re-registers and must agree too *)
-      let reloaded = solutions ~domains:2 ~optimize:true pattern
+      let reloaded = solutions ~optimize:true pattern
           (Storage.load_graph path)
       in
       Alcotest.(check bool) "before eviction" true
@@ -367,11 +366,12 @@ let test_overlapping_sections () =
             (fault_of (fun () -> Storage.load tmp))))
 
 (* Regression: view-backed dictionaries memoize decodes and reverse
-   lookups on the read path, so concurrent access from worker domains
-   must be serialized — unsynchronized Hashtbl mutation can lose
-   entries, answer wrongly, or loop. Hammer one loaded store's
-   dictionary from several domains at once, staggered so first-decode
-   collisions on the shared memo are likely, and check every answer. *)
+   lookups on the read path, so concurrent access — the server's worker
+   threads, or any caller on several domains — must be serialized:
+   unsynchronized Hashtbl mutation can lose entries, answer wrongly, or
+   loop. Hammer one loaded store's dictionary from several domains at
+   once, staggered so first-decode collisions on the shared memo are
+   likely, and check every answer. *)
 let test_parallel_dictionary () =
   let g = graph_of 23 in
   let enc = E.of_graph g in
@@ -439,7 +439,7 @@ let () =
         [
           Alcotest.test_case "200 cases: mapped = heap (optimize on/off)"
             `Quick test_differential;
-          Alcotest.test_case "cache eviction mid-life (domains=2)" `Quick
+          Alcotest.test_case "cache eviction mid-life" `Quick
             test_clear_cache_mid_life;
         ] );
       ( "corruption",

@@ -198,43 +198,6 @@ let test_unary_sharing () =
 (* ------------------------------------------------------------------ *)
 
 module Pebble_cache = Wd_core.Pebble_cache
-module Pool = Parallel.Pool
-
-(* A (tree, subtree, child, candidate mappings) quadruple for driving
-   Pebble_cache.child_test directly: the root of the test pattern with
-   its OPTIONAL child, and every µ matching the root in [g]. *)
-let child_test_setup g =
-  let tree = List.hd (Wdpt.Pattern_forest.of_algebra pattern) in
-  let sub = Wdpt.Subtree.root_only tree in
-  let child = List.hd (Wdpt.Subtree.children sub) in
-  let root_only = Sparql.Parser.parse_exn "{ ?a p:knows ?b }" in
-  let mus = Sparql.Mapping.Set.elements (Sparql.Eval.eval root_only g) in
-  (tree, sub, child, mus)
-
-(* Worker-view counters pending at eviction time (a server thread
-   mid-evaluation when another store pushes the entry out) must be
-   absorbed into the retired accumulator, not dropped with the entry. *)
-let test_eviction_absorbs_worker_views () =
-  let cache = Plan_cache.create ~plan_capacity:1 () in
-  let g1 = graph and g2 = Generator.social ~seed:11 ~people:25 in
-  let pc = Plan_cache.pebble cache g1 in
-  let tree, sub, child, mus = child_test_setup g1 in
-  let view = Pebble_cache.worker_view_for pc 1 in
-  ignore (Pebble_cache.child_test view ~k:2 tree (List.hd mus) sub child);
-  let before = (Plan_cache.stats cache).Plan_cache.pebble in
-  (* evicting g1's entry by touching a second store at capacity 1 *)
-  ignore (Plan_cache.pebble cache g2);
-  let after = Plan_cache.stats cache in
-  check Alcotest.int "one eviction" 1 after.Plan_cache.plan_evictions;
-  check Alcotest.int "the un-absorbed worker lookup survives eviction" 1
-    (after.Plan_cache.pebble.Pebble_cache.hits
-    + after.Plan_cache.pebble.Pebble_cache.misses);
-  check Alcotest.bool "totals never dip across the eviction" true
-    (after.Plan_cache.pebble.Pebble_cache.hits >= before.Pebble_cache.hits
-    && after.Plan_cache.pebble.Pebble_cache.misses
-       >= before.Pebble_cache.misses
-    && after.Plan_cache.pebble.Pebble_cache.compiled
-       >= before.Pebble_cache.compiled)
 
 (* Reconciliation under churn: the same evaluation sequence, with and
    without eviction pressure, accounts for exactly the same number of
@@ -250,7 +213,7 @@ let test_retired_reconcile_churn () =
   in
   let last = ref 0 in
   let run plan g =
-    let a, s = Engine.solutions_stats ~domains:2 plan g in
+    let a, s = Engine.solutions_stats plan g in
     check Alcotest.bool "answers match the reference" true
       (set_equal a (reference g));
     Option.get s
@@ -279,45 +242,6 @@ let test_retired_reconcile_churn () =
     >= sr.Plan_cache.pebble.Pebble_cache.compiled);
   check Alcotest.int "capacity 1 evicted on every switch" 5
     sc.Plan_cache.plan_evictions
-
-(* ------------------------------------------------------------------ *)
-(* absorb_views under a worker crash (PR 6)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A worker raising mid-batch must not lose or double-count merged
-   stats: the pool quiesces every chunk before re-raising, so the
-   absorb that follows sees exactly the completed tests. *)
-let test_absorb_views_worker_crash () =
-  let pc = Pebble_cache.create graph in
-  let tree, sub, child, mus = child_test_setup graph in
-  check Alcotest.bool "enough candidates to spread over workers" true
-    (List.length mus >= 16);
-  let items = List.mapi (fun i mu -> (i, mu)) mus in
-  let completed = Atomic.make 0 in
-  Pool.with_pool ~domains:4 @@ fun pool ->
-  (match
-     Pool.map_stream pool
-       ~init:(fun slot -> Pebble_cache.worker_view_for pc slot)
-       ~f:(fun view (i, mu) ->
-         if i = 7 then failwith "crash";
-         let r = Pebble_cache.child_test view ~k:2 tree mu sub child in
-         Atomic.incr completed;
-         r)
-       items
-   with
-  | _ -> Alcotest.fail "the worker's exception was swallowed"
-  | exception Failure msg -> check Alcotest.string "crash" "crash" msg);
-  Pebble_cache.absorb_views pc;
-  let s = Pebble_cache.stats pc in
-  check Alcotest.int "absorbed lookups = completed tests (none lost)"
-    (Atomic.get completed)
-    (s.Pebble_cache.hits + s.Pebble_cache.misses);
-  (* absorb zeroes the views: running it again must add nothing *)
-  Pebble_cache.absorb_views pc;
-  let s2 = Pebble_cache.stats pc in
-  check Alcotest.int "re-absorbing double-counts nothing"
-    (s.Pebble_cache.hits + s.Pebble_cache.misses)
-    (s2.Pebble_cache.hits + s2.Pebble_cache.misses)
 
 (* ------------------------------------------------------------------ *)
 (* Verdict LRU                                                         *)
@@ -366,15 +290,8 @@ let () =
         ] );
       ( "retired",
         [
-          Alcotest.test_case "eviction absorbs worker views" `Quick
-            test_eviction_absorbs_worker_views;
           Alcotest.test_case "churn reconciles with no-churn" `Quick
             test_retired_reconcile_churn;
-        ] );
-      ( "crash",
-        [
-          Alcotest.test_case "absorb_views after worker crash" `Quick
-            test_absorb_views_worker_crash;
         ] );
       ("lru", [ Alcotest.test_case "verdict eviction" `Quick test_verdict_lru ]);
     ]

@@ -152,54 +152,6 @@ let test_standalone_cancel () =
   Budget.cancel Budget.unlimited;
   Budget.tick Budget.unlimited
 
-(* Satellite: forked children never observe a refill mid-lease — the
-   refill lands in the shared pool, a worker's current lease is
-   untouched, and the extra fuel only becomes spendable at the next
-   lease boundary. *)
-let test_fork_refill_mid_lease () =
-  let lease = Budget.deadline_check_interval in
-  let b = Budget.make ~fuel:200 () in
-  let views = Budget.fork b 1 in
-  let v = views.(0) in
-  for _ = 1 to 32 do Budget.tick v done;
-  (* the first tick leased [lease] units; 32 ticks in, the lease holds
-     lease - 32 *)
-  check Alcotest.(option int) "mid-lease balance" (Some (lease - 32))
-    (Budget.fuel_left v);
-  Budget.replenish b 64;
-  check Alcotest.(option int) "refill is invisible mid-lease"
-    (Some (lease - 32))
-    (Budget.fuel_left v);
-  (* ... but it is spendable at the next lease boundary: the group's
-     ticks total exactly (200 + 64) - 1, same contract as make ~fuel *)
-  let ticks = ref 32 in
-  (try
-     while true do
-       Budget.tick v;
-       incr ticks
-     done
-   with Budget.Exhausted _ -> ());
-  check Alcotest.int "group total = original + refill - 1" (200 + 64 - 1)
-    !ticks
-
-let test_fork_refill_join_conservation () =
-  let b = Budget.make ~fuel:100 () in
-  let views = Budget.fork b 2 in
-  for _ = 1 to 10 do Budget.tick views.(0) done;
-  Budget.replenish b 50;
-  Budget.join b views;
-  check Alcotest.int "spending folded into the parent" 10 (Budget.spent b);
-  (* the parent reclaimed everything unspent: 100 + 50 - 10 = 140 units
-     permit exactly 139 more ticks *)
-  let ticks = ref 0 in
-  (try
-     while true do
-       Budget.tick b;
-       incr ticks
-     done
-   with Budget.Exhausted _ -> ());
-  check Alcotest.int "unspent + refill returned on join" 139 !ticks
-
 module Token_bucket = Resource.Token_bucket
 
 let test_token_bucket_basic () =
@@ -481,10 +433,6 @@ let () =
             test_replenish_standalone;
           Alcotest.test_case "try_withdraw" `Quick test_try_withdraw;
           Alcotest.test_case "standalone cancel" `Quick test_standalone_cancel;
-          Alcotest.test_case "fork: refill invisible mid-lease" `Quick
-            test_fork_refill_mid_lease;
-          Alcotest.test_case "fork: refill conserved across join" `Quick
-            test_fork_refill_join_conservation;
           Alcotest.test_case "token bucket basics" `Quick
             test_token_bucket_basic;
           Alcotest.test_case "token bucket fractional carry" `Quick

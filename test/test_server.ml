@@ -297,7 +297,6 @@ let smoke_config () =
     host = "127.0.0.1";
     port = 0;
     workers = 2;
-    domains = 1;
     queue_capacity = 4;
     admission =
       {
@@ -450,6 +449,88 @@ let test_reload_picks_up_segments () =
             (Astring.String.is_infix ~affix:"\"reloads\": 1" stats
             || Astring.String.is_infix ~affix:"\"reloads\":1" stats)))
 
+(* Result bindings follow the SPARQL 1.1 JSON format: literals, which
+   the engine carries as reserved-namespace IRIs, come back as
+   "literal" terms with their language tag or datatype, never as IRIs. *)
+let test_literal_bindings () =
+  let xsd_int = "http://www.w3.org/2001/XMLSchema#integer" in
+  let graph =
+    match
+      Rdf.Turtle.parse_graph
+        (Printf.sprintf
+           "n:alice p:name \"Alice\"@en .\n\
+            n:alice p:age \"42\"^^<%s> .\n\
+            n:alice p:nick \"ally\" .\n\
+            n:alice p:knows n:bob .\n"
+           xsd_int)
+    with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "fixture does not parse: %s" e
+  in
+  let t =
+    Server.start
+      {
+        (smoke_config ()) with
+        Server.graph;
+        admission =
+          {
+            Admission.request_fuel = 200_000;
+            request_timeout = 5.;
+            max_solutions = None;
+            global_fuel = None;
+            refill_rate = 0.;
+            max_inflight = 4;
+          };
+      }
+  in
+  let port = Server.port t in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.initiate_drain t;
+      ignore (Server.join t))
+    (fun () ->
+      let resp =
+        post_query ~port
+          "{ ?s p:name ?name . ?s p:age ?age . ?s p:nick ?nick . ?s p:knows \
+           ?f }"
+      in
+      check Alcotest.int "query is 200" 200 (response_status resp);
+      let body =
+        match Astring.String.cut ~sep:"\r\n\r\n" resp with
+        | Some (_, body) -> body
+        | None -> Alcotest.failf "response has no body: %S" resp
+      in
+      let bindings =
+        match Json.of_string body with
+        | Error e -> Alcotest.failf "body is not JSON (%s): %S" e body
+        | Ok j -> (
+            match
+              Option.bind (Json.member "results" j) (Json.member "bindings")
+              |> Fun.flip Option.bind Json.to_list
+            with
+            | Some [ b ] -> b
+            | _ -> Alcotest.failf "expected exactly one solution: %S" body)
+      in
+      let term = Alcotest.testable Json.pp ( = ) in
+      let sorted = function
+        | Json.Obj kvs -> Json.Obj (List.sort compare kvs)
+        | j -> j
+      in
+      let expect var fields =
+        check term var
+          (sorted
+             (Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) fields)))
+          (sorted
+             (Option.value ~default:Json.Null (Json.member var bindings)))
+      in
+      expect "s" [ ("type", "uri"); ("value", "n:alice") ];
+      expect "f" [ ("type", "uri"); ("value", "n:bob") ];
+      expect "name"
+        [ ("type", "literal"); ("value", "Alice"); ("xml:lang", "en") ];
+      expect "age"
+        [ ("type", "literal"); ("value", "42"); ("datatype", xsd_int) ];
+      expect "nick" [ ("type", "literal"); ("value", "ally") ])
+
 let () =
   Alcotest.run "server"
     [
@@ -476,6 +557,11 @@ let () =
             test_admission_inflight_watermark;
           Alcotest.test_case "budget starvation" `Quick
             test_admission_starvation;
+        ] );
+      ( "results",
+        [
+          Alcotest.test_case "literals are typed SPARQL JSON terms" `Quick
+            test_literal_bindings;
         ] );
       ( "smoke",
         [

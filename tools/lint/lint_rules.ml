@@ -143,18 +143,14 @@ let occurrences ~needle hay =
   in
   go 0 1 []
 
-(* Shared-state discipline for the multi-domain build: a module that
-   creates its own [Mutex.t] is advertising that it is touched from more
-   than one domain, so every mutation of one of its top-level hash
-   tables must be under a lock — an unguarded [Hashtbl.replace]/[add]
-   next to a mutex is a data race waiting for a second domain. The
+(* Shared-state discipline: a module that creates its own [Mutex.t] is
+   advertising that it is touched concurrently (server worker threads,
+   lazy shard forcing, or callers on several domains), so every mutation
+   of one of its top-level hash tables must be under a lock — an
+   unguarded [Hashtbl.replace]/[add] next to a mutex is a data race. The
    check is lexical: from the mutation, scan back to the top-level
    binding it lives in; a [Mutex.protect] or [Mutex.lock] in between
-   counts as the guard. lib/parallel houses the concurrency primitives
-   themselves and is exempt. *)
-let domain_safety_allowed rel =
-  String.length rel >= 9 && String.sub rel 0 9 = "parallel/"
-
+   counts as the guard. No directory is exempt. *)
 let is_ident s =
   s <> ""
   && String.for_all
@@ -194,8 +190,7 @@ let table_of_line line =
           if is_ident name then Some name else None
 
 let unguarded_table_mutations ~rel stripped =
-  if domain_safety_allowed rel then []
-  else if not (contains ~needle:"Mutex.create" stripped) then []
+  if not (contains ~needle:"Mutex.create" stripped) then []
   else begin
     let lines = Array.of_list (String.split_on_char '\n' stripped) in
     (* byte offset where each line starts, for the backward scans *)

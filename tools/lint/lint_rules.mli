@@ -10,12 +10,12 @@
     - [Unix.map_file] and [Bigarray] are confined to [lib/storage]: the
       rest of the tree consumes a compiled store only through the
       closure views, keeping the query kernels backend-blind;
-    - a module (outside [lib/parallel]) that creates a [Mutex.t] must
-      not mutate a top-level [Hashtbl] unguarded: every
-      [Hashtbl.replace]/[Hashtbl.add] on a [let name = Hashtbl.create …]
-      table needs a [Mutex.protect]/[Mutex.lock] between the enclosing
-      top-level binding's start and the mutation — the mutex advertises
-      multi-domain use, so a bare mutation is a data race.
+    - a module that creates a [Mutex.t] must not mutate a top-level
+      [Hashtbl] unguarded: every [Hashtbl.replace]/[Hashtbl.add] on a
+      [let name = Hashtbl.create …] table needs a
+      [Mutex.protect]/[Mutex.lock] between the enclosing top-level
+      binding's start and the mutation — the mutex advertises
+      concurrent use, so a bare mutation is a data race.
 
     Matching is performed on source text with OCaml comments and string
     literals blanked out, so mentions in documentation or error messages
