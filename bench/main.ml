@@ -1021,7 +1021,7 @@ let a5 () =
   Fmt.pr "@.median warm speedup: %.1fx (target: >= 3x)@." median_speedup
 
 (* ------------------------------------------------------------------ *)
-(* A6 — evaluation-wide pebble cache on/off                            *)
+(* A6 — evaluation-wide pebble cache vs the term-level game           *)
 (* ------------------------------------------------------------------ *)
 
 (* A membership-check stream: a tournament on t:0..t:n-1 plus [anchors]
@@ -1064,21 +1064,20 @@ let stream_instance ~seed ~n ~anchors =
   (graph, mus)
 
 let a6 () =
-  header "A6" "ablation: evaluation-wide pebble cache on/off"
+  header "A6" "ablation: evaluation-wide pebble cache vs the term-level game"
     "ISSUE 2 tentpole: compiled-game reuse + verdict memoization";
   Fmt.pr "Theorem-1 membership streams (one Pebble_eval.check per candidate@.";
-  Fmt.pr "mapping) with three kernels: the term-level game, the encoded kernel@.";
-  Fmt.pr "without memoization, and the full cache (games compiled once,@.";
-  Fmt.pr "verdicts keyed on µ|shared).  Plus one end-to-end enumeration@.";
-  Fmt.pr "workload, where the shared homomorphism join dilutes the gain.@.@.";
-  Fmt.pr "%-28s %8s %10s %12s %10s %8s %8s %6s@." "workload" "answers"
-    "term(ms)" "nocache(ms)" "cache(ms)" "speedup" "hits" "games";
+  Fmt.pr "mapping) with two kernels: the term-level game and the full cache@.";
+  Fmt.pr "(games compiled once, verdicts keyed on µ|shared).  Plus one@.";
+  Fmt.pr "end-to-end enumeration workload, where the shared homomorphism@.";
+  Fmt.pr "join dilutes the gain.@.@.";
+  Fmt.pr "%-28s %8s %10s %10s %8s %8s %6s@." "workload" "answers"
+    "term(ms)" "cache(ms)" "speedup" "hits" "games";
   let speedups = ref [] in
-  let report name answers t_term t_nocache t_cached stats =
+  let report name answers t_term t_cached stats =
     let speedup = t_term /. t_cached in
     speedups := speedup :: !speedups;
     record ~experiment:"A6" ~metric:(name ^ ".term_ms") (ms t_term);
-    record ~experiment:"A6" ~metric:(name ^ ".nocache_ms") (ms t_nocache);
     record ~experiment:"A6" ~metric:(name ^ ".cache_ms") (ms t_cached);
     record ~experiment:"A6" ~metric:(name ^ ".speedup_vs_term") speedup;
     record ~experiment:"A6" ~metric:(name ^ ".cache_hits")
@@ -1089,8 +1088,8 @@ let a6 () =
       (float_of_int stats.Wd_core.Pebble_cache.compiled);
     record ~experiment:"A6" ~metric:(name ^ ".families_explored")
       (float_of_int stats.Wd_core.Pebble_cache.families);
-    Fmt.pr "%-28s %8d %10.3f %12.3f %10.3f %7.1fx %8d %6d@." name answers
-      (ms t_term) (ms t_nocache) (ms t_cached) speedup
+    Fmt.pr "%-28s %8d %10.3f %10.3f %7.1fx %8d %6d@." name answers
+      (ms t_term) (ms t_cached) speedup
       stats.Wd_core.Pebble_cache.hits stats.Wd_core.Pebble_cache.compiled
   in
   (* membership-check streams *)
@@ -1114,12 +1113,6 @@ let a6 () =
       let term_ans, t_term =
         time_median ~runs (fun () -> stream Wd_core.Pebble_eval.Term)
       in
-      let nocache_ans, t_nocache =
-        time_median ~runs (fun () ->
-            stream
-              (Wd_core.Pebble_eval.Cached
-                 (Wd_core.Pebble_cache.create ~memo:false graph)))
-      in
       let cache = ref None in
       let cached_ans, t_cached =
         time_median ~runs (fun () ->
@@ -1127,10 +1120,10 @@ let a6 () =
             cache := Some c;
             stream (Wd_core.Pebble_eval.Cached c))
       in
-      assert (term_ans = nocache_ans && term_ans = cached_ans);
+      assert (term_ans = cached_ans);
       let stats = Wd_core.Pebble_cache.stats (Option.get !cache) in
       let answers = List.length (List.filter Fun.id term_ans) in
-      report name answers t_term t_nocache t_cached stats)
+      report name answers t_term t_cached stats)
     stream_workloads;
   (* end-to-end enumeration: the kernel is only part of the wall time *)
   let () =
@@ -1145,12 +1138,6 @@ let a6 () =
     let term_ans, t_term =
       time_median ~runs (fun () -> enumerate Wd_core.Pebble_eval.Term)
     in
-    let nocache_ans, t_nocache =
-      time_median ~runs (fun () ->
-          enumerate
-            (Wd_core.Pebble_eval.Cached
-               (Wd_core.Pebble_cache.create ~memo:false graph)))
-    in
     let cache = ref None in
     let cached_ans, t_cached =
       time_median ~runs (fun () ->
@@ -1158,11 +1145,10 @@ let a6 () =
           cache := Some c;
           enumerate (Wd_core.Pebble_eval.Cached c))
     in
-    assert (Sparql.Mapping.Set.equal term_ans nocache_ans);
     assert (Sparql.Mapping.Set.equal term_ans cached_ans);
     let stats = Wd_core.Pebble_cache.stats (Option.get !cache) in
     report "f4-enumerate" (Sparql.Mapping.Set.cardinal term_ans) t_term
-      t_nocache t_cached stats
+      t_cached stats
   in
   let median_speedup =
     let sorted = List.sort compare !speedups in
@@ -1173,14 +1159,13 @@ let a6 () =
     median_speedup
 
 let a7 () =
-  header "A7" "ablation: encoded hom-join + plan cache in full enumeration"
+  header "A7" "ablation: warm vs cold plan cache in full enumeration"
     "ISSUE 3 tentpole: candidate generation over the dictionary store";
-  Fmt.pr "Full Theorem-1 enumeration three ways: the PR 2 baseline (term-@.";
-  Fmt.pr "level hom-join, fresh pebble cache per evaluation), the encoded@.";
-  Fmt.pr "join with a cold plan cache (sources + games compiled per run),@.";
-  Fmt.pr "and the encoded join with a warm plan cache (compiled sources,@.";
-  Fmt.pr "games and verdicts reused across evaluations).  Every variant's@.";
-  Fmt.pr "answer set is checked against the reference algebra evaluator.@.@.";
+  Fmt.pr "Full Theorem-1 enumeration two ways: with a cold plan cache@.";
+  Fmt.pr "(sources, decisions and games compiled per run) and with a warm@.";
+  Fmt.pr "plan cache (compiled sources, decisions, games and verdicts@.";
+  Fmt.pr "reused across evaluations).  Every variant's answer set is@.";
+  Fmt.pr "checked against the reference algebra evaluator.@.@.";
   let n = if !fast then 10 else 14 in
   let anchors = if !fast then 4 else 6 in
   let uni_graph =
@@ -1215,8 +1200,8 @@ let a7 () =
         uni_forest "department-roster", uni2_graph );
     ]
   in
-  Fmt.pr "%-26s %8s %10s %10s %10s %7s %7s@." "workload" "answers" "term(ms)"
-    "cold(ms)" "warm(ms)" "cold-x" "warm-x";
+  Fmt.pr "%-26s %8s %10s %10s %7s@." "workload" "answers" "cold(ms)"
+    "warm(ms)" "warm-x";
   let warm_speedups = ref [] in
   List.iter
     (fun (name, k, forest, graph) ->
@@ -1231,28 +1216,20 @@ let a7 () =
           exit 1
         end
       in
-      (* PR 2 baseline: term-level join; each evaluation builds its own
-         pebble cache, exactly as the PR 2 engine did per call *)
-      let term () =
-        Wd_core.Enumerate.solutions ~join:`Term ~maximality:(`Pebble k)
-          ~kernel:
-            (Wd_core.Pebble_eval.Cached (Wd_core.Pebble_cache.create graph))
-          forest graph
-      in
-      (* encoded join, cold: a fresh plan cache per evaluation *)
+      (* cold: a fresh plan cache per evaluation *)
       let cold () =
         Wd_core.Enumerate.solutions ~maximality:(`Pebble k)
           ~cache:(Wd_core.Plan_cache.create ()) forest graph
       in
-      (* encoded join, warm: one plan cache across evaluations — the
-         steady state of repeated [Engine.solutions] on one plan *)
+      (* warm: one plan cache across evaluations — the steady state of
+         repeated [Engine.solutions] on one plan *)
       let cache = Wd_core.Plan_cache.create () in
       let warm () =
         Wd_core.Enumerate.solutions ~maximality:(`Pebble k) ~cache forest graph
       in
       (* Interleaved sampling: probe each variant once (verifying its
          answers and sizing a batch so every sample spans >= 20ms of
-         work), then take all three variants' samples round-robin so
+         work), then take both variants' samples round-robin so
          machine-throughput drift hits the ratios symmetrically instead
          of whichever variant happened to run during a slow stretch. *)
       Gc.compact ();
@@ -1261,8 +1238,7 @@ let a7 () =
         verify variant ans;
         (max 1 (min 1000 (int_of_float (Float.ceil (0.02 /. Float.max t 1e-6)))), f)
       in
-      let variants = [| probe "term" term; probe "encoded-cold" cold;
-                        probe "encoded-warm" warm |] in
+      let variants = [| probe "cold" cold; probe "warm" warm |] in
       let samples = Array.map (fun _ -> ref []) variants in
       for _ = 1 to runs do
         Array.iteri
@@ -1279,170 +1255,32 @@ let a7 () =
         let sorted = List.sort compare !(samples.(i)) in
         List.nth sorted (List.length sorted / 2)
       in
-      let t_term = median_of 0
-      and t_cold = median_of 1
-      and t_warm = median_of 2 in
-      let term_ans = term () in
-      let speedup_cold = t_term /. t_cold
-      and speedup_warm = t_term /. t_warm in
+      let t_cold = median_of 0 and t_warm = median_of 1 in
+      let speedup_warm = t_cold /. t_warm in
       warm_speedups := speedup_warm :: !warm_speedups;
-      record ~experiment:"A7" ~metric:(name ^ ".term_ms") (ms t_term);
       record ~experiment:"A7" ~metric:(name ^ ".cold_ms") (ms t_cold);
       record ~experiment:"A7" ~metric:(name ^ ".warm_ms") (ms t_warm);
-      record ~experiment:"A7" ~metric:(name ^ ".speedup_cold") speedup_cold;
-      record ~experiment:"A7" ~metric:(name ^ ".speedup_warm") speedup_warm;
+      record ~experiment:"A7" ~metric:(name ^ ".speedup_warm_vs_cold")
+        speedup_warm;
       record ~experiment:"A7" ~metric:(name ^ ".answers")
-        (float_of_int (Sparql.Mapping.Set.cardinal term_ans));
+        (float_of_int (Sparql.Mapping.Set.cardinal reference));
       let stats = Wd_core.Plan_cache.stats cache in
       record ~experiment:"A7" ~metric:(name ^ ".hom_sources")
         (float_of_int stats.Wd_core.Plan_cache.hom_sources);
       record ~experiment:"A7" ~metric:(name ^ ".verdict_hits")
         (float_of_int stats.Wd_core.Plan_cache.pebble.Wd_core.Pebble_cache.hits);
-      Fmt.pr "%-26s %8d %10.3f %10.3f %10.3f %6.1fx %6.1fx@." name
-        (Sparql.Mapping.Set.cardinal term_ans)
-        (ms t_term) (ms t_cold) (ms t_warm) speedup_cold speedup_warm)
+      Fmt.pr "%-26s %8d %10.3f %10.3f %6.1fx@." name
+        (Sparql.Mapping.Set.cardinal reference)
+        (ms t_cold) (ms t_warm) speedup_warm)
     workloads;
   let median_speedup_warm =
     let sorted = List.sort compare !warm_speedups in
     List.nth sorted (List.length sorted / 2)
   in
-  record ~experiment:"A7" ~metric:"median_speedup_warm" median_speedup_warm;
-  Fmt.pr "@.median warm speedup vs PR 2 term baseline: %.1fx (target: >= 5x)@."
+  record ~experiment:"A7" ~metric:"median_speedup_warm_vs_cold"
+    median_speedup_warm;
+  Fmt.pr "@.median warm-over-cold plan-cache speedup: %.2fx@."
     median_speedup_warm
-
-(* ------------------------------------------------------------------ *)
-(* A10 — ablation: cost-based planning vs per-prefix rescoring         *)
-(* ------------------------------------------------------------------ *)
-
-let a10 () =
-  header "A10" "ablation: cost-based join planning on skewed stores"
-    "ISSUE 7 tentpole: compiled orders + incremental fail-first refinement";
-  Fmt.pr "Warm full enumeration on Zipf-skewed graphs under two join@.";
-  Fmt.pr "planning modes: per-prefix rescoring (the PR 3 exact fail-first@.";
-  Fmt.pr "baseline, --optimize off) and the compiled order with incremental@.";
-  Fmt.pr "refinement plus per-node pebble-vs-naive maximality choices@.";
-  Fmt.pr "(--optimize on). Every variant is verified against the reference@.";
-  Fmt.pr "algebra evaluator.@.@.";
-  let preds = [ "q0"; "q1"; "q2"; "q3"; "q4"; "q5" ] in
-  (* Zipf-skewed stores: node 0 is the heaviest hub and predicate
-     cardinalities fall off steeply, so uniform-guess join orders are
-     maximally wrong. [--fast] halves both axes (density preserved). *)
-  let zg seed n m e =
-    let n = if !fast then n / 2 else n
-    and m = if !fast then m / 2 else m in
-    Rdf.Generator.zipf ~seed ~n ~predicates:preds ~m ~exponent:e ()
-  in
-  let q src = Wdpt.Pattern_forest.of_algebra (Sparql.Parser.parse_exn src) in
-  (* Joins where planning matters: multi-triple roots over predicates of
-     very different cardinality (the compiled order front-loads the rare
-     ones), with selective OPTIONAL children small enough for the
-     pebble-vs-naive verdict to pick the memoized naive test. *)
-  let workloads =
-    [
-      ( "star2-two-optionals",
-        q
-          "{ ?a p:q1 ?b . ?a p:q2 ?c . OPTIONAL { ?b p:q5 ?d } OPTIONAL \
-           { ?c p:q4 ?e } }",
-        zg 16 100 800 1.4 );
-      ( "three-optionals",
-        q
-          "{ ?a p:q1 ?b . OPTIONAL { ?b p:q5 ?c } OPTIONAL { ?a p:q4 ?d } \
-           OPTIONAL { ?b p:q3 ?e } }",
-        zg 12 100 800 1.4 );
-      ( "chain2-two-optionals",
-        q
-          "{ ?a p:q1 ?b . ?b p:q2 ?c . OPTIONAL { ?c p:q5 ?d } OPTIONAL \
-           { ?a p:q4 ?e } }",
-        zg 17 100 800 1.4 );
-      ( "nested-optionals",
-        q
-          "{ ?a p:q1 ?b . OPTIONAL { ?b p:q3 ?c . OPTIONAL { ?c p:q5 ?d } \
-           } OPTIONAL { ?a p:q4 ?e } }",
-        zg 18 100 800 1.4 );
-      ( "triangle-two-optionals",
-        q
-          "{ ?a p:q0 ?b . ?b p:q1 ?c . ?a p:q2 ?c . OPTIONAL { ?c p:q5 ?d \
-           } OPTIONAL { ?b p:q4 ?e } }",
-        zg 25 120 1100 1.2 );
-    ]
-  in
-  Fmt.pr "%-20s %8s %11s %11s %9s@." "workload" "answers" "rescore(ms)"
-    "adaptive(ms)" "adapt-x";
-  let adaptive_speedups = ref [] in
-  List.iter
-    (fun (name, forest, graph) ->
-      let runs = if !fast then 5 else 9 in
-      let dw = Wd_core.Domination_width.of_forest forest in
-      let reference =
-        Sparql.Eval.eval (Wdpt.Pattern_forest.to_algebra forest) graph
-      in
-      let verify variant got =
-        if not (Sparql.Mapping.Set.equal got reference) then begin
-          Fmt.epr "A10 %s: %s answers diverge from the reference evaluator@."
-            name variant;
-          exit 1
-        end
-      in
-      (* one warm plan cache per variant: compiled sources, games, and
-         (for the planned variants) node decisions are steady state, so
-         the timings isolate the join itself *)
-      let eval optimize =
-        let cache = Wd_core.Plan_cache.create () in
-        fun () ->
-          Wd_core.Enumerate.solutions ~maximality:(`Pebble dw) ~cache
-            ~optimize forest graph
-      in
-      let rescore = eval `Off and adaptive = eval `On in
-      (* interleaved round-robin sampling, as in A7: probe each variant
-         (verifying answers, sizing a >= 20ms batch), then sample the
-         two variants alternately so throughput drift hits the ratios
-         symmetrically *)
-      Gc.compact ();
-      let probe variant f =
-        let ans, t = time_once f in
-        verify variant ans;
-        ( max 1 (min 1000 (int_of_float (Float.ceil (0.02 /. Float.max t 1e-6)))),
-          f )
-      in
-      let variants = [| probe "rescore" rescore; probe "adaptive" adaptive |] in
-      let samples = Array.map (fun _ -> ref []) variants in
-      for _ = 1 to runs do
-        Array.iteri
-          (fun i (batch, f) ->
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to batch do
-              ignore (f ())
-            done;
-            let t = (Unix.gettimeofday () -. t0) /. float_of_int batch in
-            samples.(i) := t :: !(samples.(i)))
-          variants
-      done;
-      let median_of i =
-        let sorted = List.sort compare !(samples.(i)) in
-        List.nth sorted (List.length sorted / 2)
-      in
-      let t_rescore = median_of 0 and t_adaptive = median_of 1 in
-      let speedup_adaptive = t_rescore /. t_adaptive in
-      adaptive_speedups := speedup_adaptive :: !adaptive_speedups;
-      record ~experiment:"A10" ~metric:(name ^ ".rescore_ms") (ms t_rescore);
-      record ~experiment:"A10" ~metric:(name ^ ".adaptive_ms") (ms t_adaptive);
-      record ~experiment:"A10" ~metric:(name ^ ".speedup_adaptive")
-        speedup_adaptive;
-      record ~experiment:"A10" ~metric:(name ^ ".answers")
-        (float_of_int (Sparql.Mapping.Set.cardinal reference));
-      Fmt.pr "%-20s %8d %11.3f %11.3f %8.2fx@." name
-        (Sparql.Mapping.Set.cardinal reference)
-        (ms t_rescore) (ms t_adaptive) speedup_adaptive)
-    workloads;
-  let median_speedup =
-    let sorted = List.sort compare !adaptive_speedups in
-    List.nth sorted (List.length sorted / 2)
-  in
-  record ~experiment:"A10" ~metric:"median_speedup_adaptive" median_speedup;
-  Fmt.pr
-    "@.median optimizer-on speedup vs per-prefix rescoring: %.2fx (target: \
-     >= 1.3x)@."
-    median_speedup
 
 (* ------------------------------------------------------------------ *)
 (* A11 — cold start: Turtle parse+encode vs compiled-store mmap        *)
@@ -2054,7 +1892,7 @@ let experiments =
     ("T3", t3); ("T4", t4); ("F4", f4); ("T5", t5); ("F5", f5);
     ("F6", f6); ("F7", f7); ("T6", t6); ("T7", t7);
     ("A1", a1); ("A2", a2); ("A3", a3); ("A4", a4); ("A5", a5); ("A6", a6);
-    ("A7", a7); ("A10", a10); ("A11", a11); ("A12", a12); ("A13", a13);
+    ("A7", a7); ("A11", a11); ("A12", a12); ("A13", a13);
     ("bechamel", bechamel_suite);
   ]
 

@@ -14,8 +14,10 @@
    (detected by its magic, or forced with --store); the store is mapped
    instead of parsed.
 
-   Every subcommand accepts --timeout/--fuel/--max-solutions resource
-   limits. Exit codes: 0 success, 1 negative answer (check/validate/
+   eval, check, width, analyze, explain, fuzz and serve accept
+   --timeout/--fuel/--max-solutions resource limits (--max-solutions
+   only bounds eval and serve, the commands that produce solutions).
+   Exit codes: 0 success, 1 negative answer (check/validate/
    containment/fuzz), 2 user error (bad input), 3 budget exhausted,
    4 internal error, 5 unusable compiled store. *)
 
@@ -193,17 +195,6 @@ let pebbles_arg =
         ~doc:"Domination-width bound for the pebble algorithm (defaults to \
               the computed dw of the query).")
 
-let optimize_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "optimize" ] ~docv:"on|off"
-        ~doc:"Cost-based planning (default on): compiled per-node join \
-              orders from store statistics with adaptive fail-first \
-              refinement, and per-node pebble-vs-naive maximality choices. \
-              'off' falls back to exact per-prefix rescoring. Answers are \
-              identical either way.")
-
 (* Resource limits: a spec, from which each processing stage gets a fresh
    budget (so with --timeout T, planning and evaluation may each take up
    to T — worst case ~2T end to end). *)
@@ -256,7 +247,7 @@ let eval_cmd =
           ~doc:"Print the evaluation plan (including any budget-forced \
                 degradation) before the solutions.")
   in
-  let run load_data query algorithm k spec explain optimize =
+  let run load_data query algorithm k spec explain =
     handle @@ fun () ->
     let graph = load_data () in
     let pattern, spans = load_query_spanned query in
@@ -314,7 +305,7 @@ let eval_cmd =
               in
               let plan =
                 Wd_core.Engine.plan ~budget:(fresh_budget spec) ~hints ?force
-                  ~optimize residual
+                  residual
               in
               if explain then Fmt.pr "%a@." Wd_core.Engine.pp_plan plan;
               let sols, cache_stats =
@@ -335,7 +326,7 @@ let eval_cmd =
     (Cmd.info "eval" ~doc:"Evaluate a query over a data file.")
     Term.(
       const run $ graph_term $ query_arg $ algorithm_arg $ pebbles_arg
-      $ budget_term $ explain_arg $ optimize_arg)
+      $ budget_term $ explain_arg)
 
 let check_cmd =
   let run load_data query mapping algorithm k spec =
@@ -378,7 +369,7 @@ let width_cmd =
     Term.(const run $ query_arg $ budget_term)
 
 let validate_cmd =
-  let run query _spec =
+  let run query =
     handle @@ fun () ->
     let pattern = load_query query in
     match Sparql.Well_designed.check pattern with
@@ -391,7 +382,7 @@ let validate_cmd =
   in
   Cmd.v
     (Cmd.info "validate" ~doc:"Check well-designedness.")
-    Term.(const run $ query_arg $ budget_term)
+    Term.(const run $ query_arg)
 
 let analyze_cmd =
   let json_arg =
@@ -442,7 +433,7 @@ let clique_cmd =
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
   in
-  let run n k prob seed _spec =
+  let run n k prob seed =
     handle @@ fun () ->
     let h = Hardness.Clique.random_graph ~seed ~n ~edge_prob:prob in
     Fmt.pr "G(%d, %.2f) with %d edges, k = %d@." n prob
@@ -457,33 +448,32 @@ let clique_cmd =
   in
   Cmd.v
     (Cmd.info "clique" ~doc:"Solve k-CLIQUE through the Theorem 2 reduction.")
-    Term.(const run $ n_arg $ k_arg $ prob_arg $ seed_arg $ budget_term)
+    Term.(const run $ n_arg $ k_arg $ prob_arg $ seed_arg)
 
 let explain_cmd =
-  let run load_data query spec optimize =
+  let run load_data query spec =
     handle @@ fun () ->
     let graph = load_data () in
     let pattern = load_query query in
     Fmt.pr "%a@." Wd_core.Explain.pp
-      (Wd_core.Explain.explain ~budget:(fresh_budget spec) ~optimize pattern
-         graph)
+      (Wd_core.Explain.explain ~budget:(fresh_budget spec) pattern graph)
   in
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Show the evaluation plan: cost-based join orders with \
              estimated vs actual cardinalities and per-node \
              pebble-vs-naive maximality verdicts.")
-    Term.(const run $ graph_term $ query_arg $ budget_term $ optimize_arg)
+    Term.(const run $ graph_term $ query_arg $ budget_term)
 
 let stats_cmd =
-  let run load_data _spec =
+  let run load_data =
     handle @@ fun () ->
     let graph = load_data () in
     Fmt.pr "%a@." Rdf.Stats.pp (Rdf.Stats.of_graph graph)
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Print graph statistics (per-predicate cardinalities).")
-    Term.(const run $ graph_term $ budget_term)
+    Term.(const run $ graph_term)
 
 let containment_cmd =
   let q2_arg =
@@ -495,7 +485,7 @@ let containment_cmd =
   let attempts_arg =
     Arg.(value & opt int 200 & info [ "attempts" ] ~docv:"N" ~doc:"Refutation attempts.")
   in
-  let run query rhs attempts _spec =
+  let run query rhs attempts =
     handle @@ fun () ->
     let p1 = load_query query and p2 = load_query rhs in
     match Wd_core.Containment.refute ~attempts p1 p2 with
@@ -513,10 +503,10 @@ let containment_cmd =
   Cmd.v
     (Cmd.info "containment"
        ~doc:"Search for a counterexample to ⟦Q⟧ ⊆ ⟦RHS⟧ (randomised refutation).")
-    Term.(const run $ query_arg $ q2_arg $ attempts_arg $ budget_term)
+    Term.(const run $ query_arg $ q2_arg $ attempts_arg)
 
 let optimize_cmd =
-  let run query _spec =
+  let run query =
     handle @@ fun () ->
     let pattern = load_query query in
     let forest, report = Wdpt.Optimize.pattern pattern in
@@ -529,7 +519,7 @@ let optimize_cmd =
     (Cmd.info "optimize"
        ~doc:"Apply the provably-safe simplifications (ancestor triple dedup, \
              duplicate UNION branches) and print the result.")
-    Term.(const run $ query_arg $ budget_term)
+    Term.(const run $ query_arg)
 
 let fuzz_cmd =
   let runs_arg =
@@ -541,7 +531,8 @@ let fuzz_cmd =
   let run runs seed spec =
     handle @@ fun () ->
     (* Differential testing: algebra reference vs naive wdPF vs pebble(dw)
-       vs the shared-prefix enumerator, on random instances. *)
+       vs the production path [eval] runs (planned, cost-based
+       shared-prefix enumeration), on random instances. *)
     let failures = ref 0 in
     for i = 1 to runs do
       let s = seed + i in
@@ -561,12 +552,16 @@ let fuzz_cmd =
       let pebble =
         Wd_core.Pebble_eval.solutions ~budget:(budget ()) ~k:dw forest graph
       in
-      let shared = Wd_core.Enumerate.solutions ~budget:(budget ()) forest graph in
+      let engine =
+        Wd_core.Engine.solutions ~budget:(budget ())
+          (Wd_core.Engine.plan ~budget:(budget ()) pattern)
+          graph
+      in
       if
         not
           (Sparql.Mapping.Set.equal reference naive
           && Sparql.Mapping.Set.equal reference pebble
-          && Sparql.Mapping.Set.equal reference shared)
+          && Sparql.Mapping.Set.equal reference engine)
       then begin
         incr failures;
         Fmt.epr "MISMATCH at seed %d:@.query: %s@." s
@@ -604,7 +599,7 @@ let compile_cmd =
       value & flag
       & info [ "f"; "force" ] ~doc:"Overwrite an existing output file.")
   in
-  let run input out force _spec =
+  let run input out force =
     handle @@ fun () ->
     if Sys.file_exists out && not force then
       E.fail
@@ -625,7 +620,7 @@ let compile_cmd =
              index permutations and planner statistics in one mappable \
              file, so later runs (and the server) cold-start without \
              parsing or re-encoding.")
-    Term.(const run $ input_arg $ out_arg $ force_arg $ budget_term)
+    Term.(const run $ input_arg $ out_arg $ force_arg)
 
 let store_info_cmd =
   let file_arg =

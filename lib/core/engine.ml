@@ -22,12 +22,11 @@ type plan = {
   domination_width : int;
   width_source : width_source;
   algorithm : algorithm;
-  optimize : bool;
   cache : Plan_cache.t;
 }
 
 let plan ?(budget = Budget.unlimited) ?(hints = no_hints) ?force
-    ?(optimize = true) ?verdict_capacity ?plan_capacity pattern =
+    ?plan_capacity pattern =
   let forest = Wdpt.Pattern_forest.of_algebra pattern in
   let domination_width, width_source =
     match hints.dw_exact with
@@ -61,8 +60,7 @@ let plan ?(budget = Budget.unlimited) ?(hints = no_hints) ?force
     domination_width;
     width_source;
     algorithm;
-    optimize;
-    cache = Plan_cache.create ?verdict_capacity ?plan_capacity ();
+    cache = Plan_cache.create ?plan_capacity ();
   }
 
 let check ?budget plan graph mu =
@@ -78,9 +76,8 @@ let solutions_stats ?budget plan graph =
   | Naive -> (Wdpt.Semantics.solutions ?budget plan.forest graph, None)
   | Pebble k ->
       let answers =
-        Enumerate.solutions ?budget ~maximality:(`Pebble k)
-          ~optimize:(if plan.optimize then `On else `Off)
-          ~cache:plan.cache plan.forest graph
+        Enumerate.solutions ?budget ~maximality:(`Pebble k) ~cache:plan.cache
+          plan.forest graph
       in
       (answers, Some (Plan_cache.stats plan.cache))
 
@@ -106,7 +103,7 @@ let pp_width_source ppf = function
 let pp_plan ppf plan =
   Fmt.pf ppf
     "@[<v>query: %d triple pattern(s), %d tree(s)@ dw: %d (%a)@ algorithm: \
-     %a@ optimizer: %s@]"
+     %a@]"
     (Sparql.Algebra.size plan.pattern)
     (List.length plan.forest) plan.domination_width pp_width_source
     plan.width_source
@@ -114,5 +111,3 @@ let pp_plan ppf plan =
       | Naive -> Fmt.string ppf "naive (exact homomorphism tests)"
       | Pebble k -> Fmt.pf ppf "pebble with k = %d (%d pebbles)" k (k + 1))
     plan.algorithm
-    (if plan.optimize then "on (cost-based join orders, adaptive fail-first)"
-     else "off (exact per-prefix rescoring)")

@@ -46,12 +46,6 @@ type plan = {
   domination_width : int;
   width_source : width_source;
   algorithm : algorithm;
-  optimize : bool;
-      (** whether evaluation uses the cost-based planner: compiled
-          per-node join orders from store statistics with adaptive
-          fail-first refinement, and per-node pebble-vs-naive maximality
-          choices ({!Enumerate.optimize} [`On] vs [`Off]). On by
-          default; answers are identical either way (tested). *)
   cache : Plan_cache.t;
       (** compiled hom sources, cost-based node decisions, and pebble
           games, reused across every evaluation of this plan and
@@ -60,7 +54,7 @@ type plan = {
 
 val plan :
   ?budget:Resource.Budget.t -> ?hints:hints -> ?force:algorithm ->
-  ?optimize:bool -> ?verdict_capacity:int -> ?plan_capacity:int ->
+  ?plan_capacity:int ->
   Sparql.Algebra.t -> plan
 (** Build a plan. By default the pebble algorithm at the query's measured
     domination width is chosen (always exact); [force] overrides. A
@@ -69,10 +63,8 @@ val plan :
     computation, the plan gracefully degrades to [hints.dw_upper] (when
     given) or a conservative treewidth upper bound, and records the
     downgrade in [width_source] so that {!pp_plan} and [Explain] surface
-    it. [verdict_capacity] bounds the
-    plan's memoized pebble verdicts ({!Pebble_cache.create});
-    [plan_capacity] how many stores the plan caches compiled artefacts
-    for at once ({!Plan_cache.create}, default 4). Raises
+    it. [plan_capacity] bounds how many stores the plan caches compiled
+    artefacts for at once ({!Plan_cache.create}, default 4). Raises
     {!Wdpt.Translate.Not_well_designed} on non-well-designed input. *)
 
 val check :

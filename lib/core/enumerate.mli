@@ -9,49 +9,32 @@
     increasing node-id order, which is compatible with the parent order
     because node ids are topological).
 
-    The join itself runs over the dictionary-encoded store by default
-    ([`Encoded]): node patterns are compiled once per (tree, graph
-    epoch) into a {!Plan_cache.t} and partial homomorphisms round-trip
-    through flat int arrays, decoded only at the solution boundary.
-    [`Term] keeps the PR 2 term-level join (hash probes on terms) — the
-    ablation A7 baseline; both produce identical answer sets (tested).
+    The join runs over the dictionary-encoded store: node patterns are
+    compiled once per (tree, graph epoch) into a {!Plan_cache.t} and
+    partial homomorphisms round-trip through flat int arrays, decoded
+    only at the solution boundary. Each node joins in the cost-based
+    order of {!Plan_cache.node_decision}, refined by incremental
+    fail-first at run time ({!Encoded.Encoded_hom.Adaptive}).
 
     The Lemma-1 maximality condition is checked per candidate answer:
     - [`Hom] (default) uses the exact homomorphism test — cheap when
       children are easy to match;
     - [`Pebble k] uses the existential (k+1)-pebble relaxation of
       Theorem 1 — polynomial even when a child hides an NP-hard pattern,
-      and exact whenever [dw ≤ k]. *)
+      and exact whenever [dw ≤ k]. When the kernel is the cache's own
+      pebble cache, a child the optimizer estimates to have very few
+      candidate extensions is tested with a memoized naive existence
+      check instead ({!Plan_cache.naive_child_test}); both are exact at
+      [dw ≤ k], so answers never change (tested). *)
 
 open Rdf
 
 type maximality = [ `Hom | `Pebble of int ]
-type join = [ `Encoded | `Term ]
-
-type optimize = [ `Off | `On ]
-(** Join planning mode of the encoded join (ablation A10):
-    - [`Off] (default): exact fail-first per-prefix rescoring — every
-      pattern of the node is re-counted at every depth (the PR 3
-      baseline, {!Encoded.Encoded_hom.Rescore});
-    - [`On]: the cost-based compiled order of {!Plan_cache.node_decision}
-      as seed with incremental fail-first refinement — only patterns
-      touched by a newly bound variable are re-counted
-      ({!Encoded.Encoded_hom.Adaptive}), and each node's Lemma-1 test
-      runs naively instead of through the pebble relaxation when the
-      optimizer estimates very few candidate extensions (both exact
-      under the planner's [dw ≤ k] invariant, so answers never change —
-      tested). *)
-
-val solutions_tree :
-  ?budget:Resource.Budget.t ->
-  ?maximality:maximality -> ?kernel:Pebble_eval.kernel ->
-  ?join:join -> ?cache:Plan_cache.t -> ?optimize:optimize ->
-  Wdpt.Pattern_tree.t -> Graph.t -> Sparql.Mapping.Set.t
 
 val solutions :
   ?budget:Resource.Budget.t ->
   ?maximality:maximality -> ?kernel:Pebble_eval.kernel ->
-  ?join:join -> ?cache:Plan_cache.t -> ?optimize:optimize ->
+  ?cache:Plan_cache.t ->
   Wdpt.Pattern_forest.t -> Graph.t -> Sparql.Mapping.Set.t
 (** Equals {!Wdpt.Semantics.solutions} under [`Hom], and under
     [`Pebble k] whenever [dw(F) ≤ k] (tested). One {!Plan_cache.t} is
@@ -62,7 +45,6 @@ val solutions :
 
 val count :
   ?budget:Resource.Budget.t -> ?maximality:maximality ->
-  ?kernel:Pebble_eval.kernel -> ?join:join -> ?cache:Plan_cache.t ->
-  ?optimize:optimize ->
+  ?kernel:Pebble_eval.kernel -> ?cache:Plan_cache.t ->
   Wdpt.Pattern_forest.t -> Graph.t -> int
 (** Number of distinct answers. *)

@@ -11,7 +11,7 @@ type node_plan = {
   depth : int;
   new_vars : Variable.t list;
   triples : triple_plan list;
-  decision : Optimizer.Join_order.decision option;
+  decision : Optimizer.Join_order.decision;
 }
 
 type tree_plan = node_plan list
@@ -42,7 +42,7 @@ let actual_count enc triple =
   | Ok s, Ok p, Ok o -> Encoded.Encoded_graph.match_count enc ?s ?p ?o ()
   | _ -> 0
 
-let plan_tree stats enc decision_of tree =
+let plan_tree ?budget stats (plan : Engine.plan) graph enc tree =
   let rec walk node depth =
     let parent_vars =
       match Wdpt.Pattern_tree.parent tree node with
@@ -62,17 +62,15 @@ let plan_tree stats enc decision_of tree =
                actual = actual_count enc triple;
              })
     in
-    let decision = decision_of tree node in
+    let decision =
+      Plan_cache.node_decision ?budget plan.cache graph tree node
+    in
+    (* the optimizer's compiled order: position j is the j-th join step,
+       aligned with [decision.est_cards.(j)] *)
     let triples =
-      match decision with
-      | None ->
-          List.sort (fun a b -> compare a.estimated b.estimated) base
-      | Some d ->
-          (* the optimizer's compiled order: position j is the j-th join
-             step, aligned with [d.est_cards.(j)] *)
-          let arr = Array.of_list base in
-          Array.to_list
-            (Array.map (fun i -> arr.(i)) d.Optimizer.Join_order.order)
+      let arr = Array.of_list base in
+      Array.to_list
+        (Array.map (fun i -> arr.(i)) decision.Optimizer.Join_order.order)
     in
     { node; depth; new_vars; triples; decision }
     :: List.concat_map
@@ -81,19 +79,15 @@ let plan_tree stats enc decision_of tree =
   in
   walk Wdpt.Pattern_tree.root 0
 
-let explain ?budget ?optimize pattern graph =
+let explain ?budget pattern graph =
   let stats = Stats.of_graph graph in
-  let plan = Engine.plan ?budget ?optimize pattern in
+  let plan = Engine.plan ?budget pattern in
   let enc = Plan_cache.encoded plan.Engine.cache graph in
-  let decision_of tree n =
-    if plan.Engine.optimize then
-      Some (Plan_cache.node_decision ?budget plan.Engine.cache graph tree n)
-    else None
-  in
   {
     classification = Classify.classify ?budget pattern;
     plan;
-    trees = List.map (plan_tree stats enc decision_of) plan.Engine.forest;
+    trees =
+      List.map (plan_tree ?budget stats plan graph enc) plan.Engine.forest;
     graph_triples = Stats.triples stats;
   }
 
@@ -114,32 +108,23 @@ let pp ppf t =
                   (String.concat ", "
                      (List.map (fun v -> "?" ^ Variable.to_string v) vs))
           in
+          let d = np.decision in
           let decision_note =
-            match np.decision with
-            | None -> ""
-            | Some d ->
-                Fmt.str " [join: cost-based order, ~%.1f candidate(s)%s]"
-                  d.Optimizer.Join_order.est_candidates
-                  (if np.depth = 0 then ""
-                   else
-                     Fmt.str "; maximality test: %a"
-                       Optimizer.Join_order.pp_maximality
-                       d.Optimizer.Join_order.maximality)
+            Fmt.str " [join: cost-based order, ~%.1f candidate(s)%s]"
+              d.Optimizer.Join_order.est_candidates
+              (if np.depth = 0 then ""
+               else
+                 Fmt.str "; maximality test: %a"
+                   Optimizer.Join_order.pp_maximality
+                   d.Optimizer.Join_order.maximality)
           in
           Fmt.pf ppf "%s%snode %d%s%s@." indent
             (if np.depth = 0 then "" else "OPTIONAL ")
             np.node vars_note decision_note;
           List.iteri
             (fun j tp ->
-              match np.decision with
-              | Some d ->
-                  Fmt.pf ppf "%s  %a  est ~%.1f, actual %d@." indent
-                    Triple.pp tp.triple
-                    d.Optimizer.Join_order.est_cards.(j)
-                    tp.actual
-              | None ->
-                  Fmt.pf ppf "%s  %a  ~%.1f matches, actual %d@." indent
-                    Triple.pp tp.triple tp.estimated tp.actual)
+              Fmt.pf ppf "%s  %a  est ~%.1f, actual %d@." indent Triple.pp
+                tp.triple d.Optimizer.Join_order.est_cards.(j) tp.actual)
             np.triples)
         tree_plan)
     t.trees

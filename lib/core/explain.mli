@@ -3,20 +3,19 @@
 
     For each tree of [wdpf(P)] the report lists the root-to-leaf structure
     with, per node, its triple patterns in the order the join will
-    evaluate them. With the optimizer on (the default) that is the
-    cost-based compiled order of {!Plan_cache.node_decision}, each step
-    annotated with the model's estimated cardinality next to the exact
-    match count of its constant positions, and each non-root node with
-    its pebble-vs-naive maximality verdict; with it off, patterns appear
-    most selective first per {!Rdf.Stats.estimated_matches} — the
-    fail-first rescoring's initial view. *)
+    evaluate them: the cost-based compiled order of
+    {!Plan_cache.node_decision}, each step annotated with the model's
+    estimated cardinality next to the exact match count of its constant
+    positions, and each non-root node with its pebble-vs-naive
+    maximality verdict. *)
 
 type triple_plan = {
   triple : Rdf.Triple.t;
   estimated : float;
-      (** the cost model's view: {!Rdf.Stats.estimated_matches} when the
-          optimizer is off; with a [decision], the per-step estimate
-          lives in [decision.est_cards] (aligned with the list order) *)
+      (** {!Rdf.Stats.estimated_matches} of the pattern on its own; the
+          per-step estimate given the bindings of earlier steps lives in
+          the node's [decision.est_cards] (aligned with the list
+          order) *)
   actual : int;
       (** exact matches of the pattern's constant positions against the
           store — what the estimate approximates *)
@@ -27,10 +26,9 @@ type node_plan = {
   depth : int;
   new_vars : Rdf.Variable.t list;  (** variables introduced by this node *)
   triples : triple_plan list;  (** in planned evaluation order *)
-  decision : Optimizer.Join_order.decision option;
-      (** the cost-based plan ([None] when the optimizer is off):
-          compiled join order, per-step estimates, expected candidate
-          count, and the maximality verdict *)
+  decision : Optimizer.Join_order.decision;
+      (** the cost-based plan: compiled join order, per-step estimates,
+          expected candidate count, and the maximality verdict *)
 }
 
 type tree_plan = node_plan list
@@ -43,13 +41,10 @@ type t = {
   graph_triples : int;
 }
 
-(** [explain ?budget ?optimize p g]: under a [budget], width analysis
-    degrades gracefully (see {!Engine.plan} and {!Classify.classify})
-    instead of raising. [optimize] is forwarded to {!Engine.plan}
-    (default on); it decides whether the per-node cost-based decisions
-    are computed and shown. *)
+(** [explain ?budget p g]: under a [budget], width analysis degrades
+    gracefully (see {!Engine.plan} and {!Classify.classify}) instead of
+    raising. *)
 val explain :
-  ?budget:Resource.Budget.t -> ?optimize:bool ->
-  Sparql.Algebra.t -> Rdf.Graph.t -> t
+  ?budget:Resource.Budget.t -> Sparql.Algebra.t -> Rdf.Graph.t -> t
 
 val pp : t Fmt.t

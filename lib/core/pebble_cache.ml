@@ -55,7 +55,6 @@ let default_verdict_capacity = 1 lsl 20
 type t = {
   graph : Graph.t;
   enc : Encoded.Encoded_graph.t;
-  memo : bool;
   verdict_capacity : int;
   games : (game_key, child_game) Hashtbl.t;
   mutable stamps : (Wdpt.Pattern_tree.t * int) list;
@@ -70,13 +69,12 @@ type t = {
   unary : Encoded.Encoded_pebble.unary_cache;
 }
 
-let create ?(memo = true) ?(verdict_capacity = default_verdict_capacity) graph =
+let create ?(verdict_capacity = default_verdict_capacity) graph =
   if verdict_capacity < 1 then
     invalid_arg "Pebble_cache.create: verdict_capacity must be positive";
   {
     graph;
     enc = Encoded.Encoded_graph.of_graph_cached graph;
-    memo;
     verdict_capacity;
     games = Hashtbl.create 64;
     stamps = [];
@@ -186,9 +184,7 @@ let compile_game t ~k tree subtree n =
       (Tgraphs.Tgraph.vars child_pat)
   in
   let game =
-    Encoded.Encoded_pebble.compile
-      ?unary:(if t.memo then Some t.unary else None)
-      ~k:(k + 1)
+    Encoded.Encoded_pebble.compile ~unary:t.unary ~k:(k + 1)
       (Tgraphs.Gtgraph.make child_pat shared)
       t.enc
   in
@@ -203,23 +199,20 @@ let compile_game t ~k tree subtree n =
   }
 
 let game_for t ~k tree subtree n =
-  if not t.memo then compile_game t ~k tree subtree n
-  else begin
-    let key =
-      {
-        stamp = stamp_of t tree;
-        members = Wdpt.Subtree.members subtree;
-        child = n;
-        key_k = k;
-      }
-    in
-    match Hashtbl.find_opt t.games key with
-    | Some g -> g
-    | None ->
-        let g = compile_game t ~k tree subtree n in
-        Hashtbl.add t.games key g;
-        g
-  end
+  let key =
+    {
+      stamp = stamp_of t tree;
+      members = Wdpt.Subtree.members subtree;
+      child = n;
+      key_k = k;
+    }
+  in
+  match Hashtbl.find_opt t.games key with
+  | Some g -> g
+  | None ->
+      let g = compile_game t ~k tree subtree n in
+      Hashtbl.add t.games key g;
+      g
 
 let id_of_var dict mu v =
   match Sparql.Mapping.find v mu with
@@ -246,9 +239,7 @@ let run_child_test t ~budget cg ~anchor_ids ~mu_ids =
   else begin
     let mu_ids = mu_ids () in
     let memo_key = Array.to_list mu_ids in
-    match
-      if t.memo then Hashtbl.find_opt cg.verdicts memo_key else None
-    with
+    match Hashtbl.find_opt cg.verdicts memo_key with
     | Some node ->
         t.hits <- t.hits + 1;
         lru_touch t node;
@@ -260,19 +251,12 @@ let run_child_test t ~budget cg ~anchor_ids ~mu_ids =
         let verdict = Encoded.Encoded_pebble.run ~budget cg.game ~mu:mu_ids in
         t.families <-
           t.families + (Encoded.Encoded_pebble.stats_families_explored () - before);
-        if t.memo then begin
-          let node =
-            {
-              nkey = memo_key;
-              verdict;
-              owner = cg.verdicts;
-              prev = None;
-              next = None;
-            }
-          in
-          Hashtbl.add cg.verdicts memo_key node;
-          lru_insert t node
-        end;
+        let node =
+          { nkey = memo_key; verdict; owner = cg.verdicts; prev = None;
+            next = None }
+        in
+        Hashtbl.add cg.verdicts memo_key node;
+        lru_insert t node;
         verdict
   end
 
@@ -293,8 +277,8 @@ let slots_for cg vars =
           if i >= Array.length vars then
             invalid_arg
               (Fmt.str
-                 "Pebble_cache.child_test_ids: variable %a missing from the \
-                  table"
+                 "Pebble_cache.stage_child_test_ids: variable %a missing from \
+                  the table"
                  Variable.pp v)
           else if Variable.equal vars.(i) v then i
           else go (i + 1)
@@ -309,21 +293,9 @@ let slots_for cg vars =
 let stage_child_test_ids t ?(budget = Budget.unlimited) ~k tree ~vars subtree
     n =
   if k < 1 then invalid_arg "Pebble_game.wins: k must be at least 1";
-  let stage () =
-    let cg = game_for t ~k tree subtree n in
-    let anchor_slots, game_slots = slots_for cg vars in
-    (cg, anchor_slots, game_slots)
-  in
-  (* [memo:false] means no reuse at all (the ablation baseline), so the
-     game must be recompiled per candidate, not once per batch *)
-  let staged = if t.memo then Some (stage ()) else None in
+  let cg = game_for t ~k tree subtree n in
+  let anchor_slots, game_slots = slots_for cg vars in
   fun assignment ->
-    let cg, anchor_slots, game_slots =
-      match staged with Some s -> s | None -> stage ()
-    in
     let anchor_ids = Array.map (Array.get assignment) anchor_slots in
     run_child_test t ~budget cg ~anchor_ids ~mu_ids:(fun () ->
         Array.map (Array.get assignment) game_slots)
-
-let child_test_ids t ?budget ~k tree ~vars ~assignment subtree n =
-  stage_child_test_ids t ?budget ~k tree ~vars subtree n assignment

@@ -39,11 +39,8 @@ type stats = {
     unary candidate domains reused across game compiles vs actually
     scanned (the per-(tree, store) sharing of base domains). *)
 
-val create : ?memo:bool -> ?verdict_capacity:int -> Graph.t -> t
-(** A cache for evaluations against [graph]. [memo:false] disables both
-    game reuse and verdict memoization (every call recompiles and
-    replays) while still counting work — the A6 ablation baseline.
-    [verdict_capacity] bounds the number of memoized verdicts across
+val create : ?verdict_capacity:int -> Graph.t -> t
+(** A cache for evaluations against [graph]. [verdict_capacity] bounds the number of memoized verdicts across
     {e all} games of this cache (least-recently-used eviction; default
     [2^20]), so enumerations over huge µ|shared spaces stop growing
     without bound. Raises [Invalid_argument] if it is [< 1]. *)
@@ -71,25 +68,6 @@ val child_test :
     kernel would ground a child variable bound by a larger µ, whereas
     the compiled game quantifies it existentially.) *)
 
-val child_test_ids :
-  t ->
-  ?budget:Resource.Budget.t ->
-  k:int ->
-  Wdpt.Pattern_tree.t ->
-  vars:Variable.t array ->
-  assignment:int array ->
-  Wdpt.Subtree.t ->
-  Wdpt.Pattern_tree.node ->
-  bool
-(** Id-level variant of {!child_test} for the encoded enumerator: the
-    candidate is the flat dictionary-id [assignment] over the shared
-    variable table [vars] ({!Plan_cache.variables}) instead of a term
-    mapping, so no decode/re-encode round-trip happens per candidate.
-    [assignment] must cover [vars(subtree)] with ids valid for this
-    cache's graph (which the encoded join guarantees). Same precondition
-    and verdict memoization as {!child_test}; param-to-slot resolution
-    is cached per game keyed on [vars]'s physical identity. *)
-
 val stage_child_test_ids :
   t ->
   ?budget:Resource.Budget.t ->
@@ -100,11 +78,17 @@ val stage_child_test_ids :
   Wdpt.Pattern_tree.node ->
   int array ->
   bool
-(** Staged form of {!child_test_ids}: resolves the game and the
-    param-to-slot tables once for a (subtree, child) pair and returns
-    the per-assignment test. The enumerator stages each child's test
-    once per candidate batch instead of re-resolving them per
-    candidate. *)
+(** Id-level variant of {!child_test} for the encoded enumerator, staged
+    per (subtree, child) pair: the game and the param-to-slot tables are
+    resolved once, and the returned test takes a candidate as the flat
+    dictionary-id assignment over the shared variable table [vars]
+    ({!Plan_cache.variables}) instead of a term mapping, so no
+    decode/re-encode round-trip happens per candidate. The assignment
+    must cover [vars(subtree)] with ids valid for this cache's graph
+    (which the encoded join guarantees). Same precondition and verdict
+    memoization as {!child_test}; param-to-slot resolution is cached per
+    game keyed on [vars]'s physical identity. The enumerator stages each
+    child's test once per candidate batch. *)
 
 val stats : t -> stats
 val pp_stats : stats Fmt.t

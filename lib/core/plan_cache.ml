@@ -62,7 +62,6 @@ type entry = {
 let default_plan_capacity = 4
 
 type t = {
-  verdict_capacity : int option;
   plan_capacity : int;
   mutable entries : entry list;
       (* most-recently-used first, keyed by store epoch; at most
@@ -102,11 +101,10 @@ let add_pebble_stats (a : Pebble_cache.stats) (b : Pebble_cache.stats) =
     unary_misses = a.unary_misses + b.unary_misses;
   }
 
-let create ?verdict_capacity ?(plan_capacity = default_plan_capacity) () =
+let create ?(plan_capacity = default_plan_capacity) () =
   if plan_capacity < 1 then
     invalid_arg "Plan_cache.create: plan_capacity must be positive";
   {
-    verdict_capacity;
     plan_capacity;
     entries = [];
     hom_sources = 0;
@@ -135,8 +133,7 @@ let entry_for t graph =
             {
               epoch;
               enc = Encoded.Encoded_graph.of_graph_cached graph;
-              pebble =
-                Pebble_cache.create ?verdict_capacity:t.verdict_capacity graph;
+              pebble = Pebble_cache.create graph;
               trees = [];
             }
           in

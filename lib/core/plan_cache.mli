@@ -40,10 +40,9 @@ type stats = {
   decision_misses : int;  (** decisions actually compiled *)
 }
 
-val create : ?verdict_capacity:int -> ?plan_capacity:int -> unit -> t
-(** [verdict_capacity] is forwarded to the {!Pebble_cache.create} of
-    every entry. [plan_capacity] bounds how many stores are cached at
-    once (default 4; raises [Invalid_argument] if [< 1]). *)
+val create : ?plan_capacity:int -> unit -> t
+(** [plan_capacity] bounds how many stores are cached at once (default
+    4; raises [Invalid_argument] if [< 1]). *)
 
 val encoded : t -> Graph.t -> Encoded.Encoded_graph.t
 (** The encoded copy of [graph] for its entry (building the entry, and

@@ -53,8 +53,8 @@ val own_slots : source -> int list
 type strategy =
   | Rescore
       (** exact fail-first: re-score {e every} remaining pattern at every
-          node entry with a fresh range count — the pre-optimizer
-          behaviour, kept as the fallback *)
+          node entry with a fresh range count — the default of the
+          reference evaluators, which run without planner decisions *)
   | Adaptive of int array
       (** fail-first with incremental re-ranking: the compiled order
           seeds the ranking (and breaks score ties), scores start from

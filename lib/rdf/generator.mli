@@ -42,7 +42,7 @@ val zipf :
     hub, early predicates dominate. The resulting per-predicate
     cardinalities and distinct-count profiles are heavily skewed — the
     workload where a cost-based join order diverges most from a uniform
-    guess (bench A10). *)
+    guess (the optimizer's skewed-join tests). *)
 
 val social : seed:int -> people:int -> Graph.t
 (** A synthetic social network: people with [knows] edges (preferential

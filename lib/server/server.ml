@@ -44,6 +44,10 @@ type config = {
    concurrently. *)
 type plan_entry = {
   plan : Engine.plan;
+  head_vars : Rdf.Variable.Set.t;
+      (* canonical names of every variable of the unpruned pattern: the
+         result head, which must not shrink when pruning drops a subtree
+         that alone bound some variable *)
   lock : Mutex.t;
   first_query : string;
       (* raw text of the query that built the entry: a later hit with
@@ -241,16 +245,17 @@ let evict_entry t key =
   | None -> ());
   Mutex.unlock t.plans_lock
 
-let compile_plan ~budget pattern =
+let compile_plan ~budget original =
   (* The pattern is canonical; plan its pruned residual — unsatisfiable
      OPT arms, dead UNION branches and duplicate triples never reach the
      planner. An empty residual means the query is unsatisfiable; plan
      the unpruned pattern (it yields nothing) rather than special-casing
      an always-empty entry. *)
+  let pruned = Prune.run original in
   let pattern =
-    match (Prune.run pattern).Prune.outcome with
+    match pruned.Prune.outcome with
     | Prune.Pattern residual -> residual
-    | Prune.Empty -> pattern
+    | Prune.Empty -> original
   in
   (* Static width estimation up front, persisted with the entry: the
      exact dw it measures lets [Engine.plan] skip its own exponential
@@ -262,7 +267,13 @@ let compile_plan ~budget pattern =
            (Wdpt.Pattern_forest.of_algebra pattern))
     else Engine.no_hints
   in
-  Engine.plan ~budget ~hints ~plan_capacity:1 pattern
+  let plan = Engine.plan ~budget ~hints ~plan_capacity:1 pattern in
+  let head_vars =
+    Rdf.Variable.Set.union
+      (Wdpt.Pattern_forest.vars plan.Engine.forest)
+      (Prune.residual_vars_dropped ~original pruned)
+  in
+  (plan, head_vars)
 
 let plan_entry_for t ~graph ~budget query =
   (* Parse and canonicalize before the cache probe: the key is the
@@ -294,10 +305,10 @@ let plan_entry_for t ~graph ~budget query =
       Mutex.unlock t.plans_lock;
       (* compile outside the lock — compilation can be expensive and
          must not stall requests for other queries *)
-      let plan = compile_plan ~budget canon.Canonical.pattern in
+      let plan, head_vars = compile_plan ~budget canon.Canonical.pattern in
       Atomic.incr t.plans_compiled;
       let fresh =
-        { plan; lock = Mutex.create (); first_query = query;
+        { plan; head_vars; lock = Mutex.create (); first_query = query;
           poisoned = false; last_used = stamp () }
       in
       Mutex.lock t.plans_lock;
@@ -373,11 +384,11 @@ let respond t conn ~deadline ?headers ~status body =
 (* The plan's solutions bind canonical variable names; [canon] is the
    requesting query's bijection, renaming heads and bindings back to the
    names the client wrote. *)
-let results_json ~canon plan answers =
+let results_json ~canon entry answers =
   let vars =
     List.map
       (Canonical.original_var canon)
-      (Rdf.Variable.Set.elements (Wdpt.Pattern_forest.vars plan.Engine.forest))
+      (Rdf.Variable.Set.elements entry.head_vars)
     |> List.sort_uniq Rdf.Variable.compare
   in
   (* SPARQL 1.1 JSON results: literals travel as IRIs inside the engine
@@ -517,7 +528,7 @@ let handle_sparql t conn ~deadline ~idx ~fault req =
             let answers =
               Engine.solutions ~budget entry.plan graph
             in
-            Json.to_string (results_json ~canon entry.plan answers))
+            Json.to_string (results_json ~canon entry answers))
       in
       match outcome with
       | `Draining ->

@@ -57,9 +57,8 @@ let structured_only f =
 let pp_fault = Fmt.of_to_string (fun f -> Fmt.str "%a" Err.pp_store_fault f)
 let fault_t = Alcotest.testable pp_fault ( = )
 
-let solutions ~optimize pattern graph =
-  let plan = Wd_core.Engine.plan ~optimize pattern in
-  Wd_core.Engine.solutions plan graph
+let solutions pattern graph =
+  Wd_core.Engine.solutions (Wd_core.Engine.plan pattern) graph
 
 (* The overlay store must agree with a monolithic compile of the same
    triple set on everything the planner and the evaluators consume.
@@ -114,15 +113,11 @@ let check_answers ~ctx ~seed handle mono_graph =
       Workload.Query_families.random_wd_pattern ~seed:((seed * 5) + q)
         ~triples:4 ~vars:4 ~preds:2 ~depth:2 ~union:1
     in
-    List.iter
-      (fun optimize ->
-        let reference = solutions ~optimize pattern mono_graph in
-        let got = solutions ~optimize pattern handle in
-        if not (Sparql.Mapping.Set.equal reference got) then
-          Alcotest.failf "%s: answers differ at seed %d (%s): %s" ctx seed
-            (if optimize then "optimize on" else "optimize off")
-            (Sparql.Printer.to_string pattern))
-      [ true; false ]
+    let reference = solutions pattern mono_graph in
+    let got = solutions pattern handle in
+    if not (Sparql.Mapping.Set.equal reference got) then
+      Alcotest.failf "%s: answers differ at seed %d: %s" ctx seed
+        (Sparql.Printer.to_string pattern)
   done
 
 (* ------------------------------------------------------------------ *)

@@ -130,9 +130,8 @@ let test_identity_stable () =
 (* Differential evaluation: heap store vs mapped store                 *)
 (* ------------------------------------------------------------------ *)
 
-let solutions ~optimize pattern graph =
-  let plan = Wd_core.Engine.plan ~optimize pattern in
-  Wd_core.Engine.solutions plan graph
+let solutions pattern graph =
+  Wd_core.Engine.solutions (Wd_core.Engine.plan pattern) graph
 
 let test_differential () =
   let cases = 200 in
@@ -147,16 +146,11 @@ let test_differential () =
     in
     with_store_file (E.of_graph g) (fun path ->
         let h = Storage.load_graph path in
-        List.iter
-          (fun optimize ->
-            let reference = solutions ~optimize pattern g in
-            let mapped = solutions ~optimize pattern h in
-            if not (Sparql.Mapping.Set.equal reference mapped) then
-              Alcotest.failf "store evaluation differs at seed %d (%s): %s"
-                seed
-                (if optimize then "optimize on" else "optimize off")
-                (Sparql.Printer.to_string pattern))
-          [ true; false ];
+        let reference = solutions pattern g in
+        let mapped = solutions pattern h in
+        if not (Sparql.Mapping.Set.equal reference mapped) then
+          Alcotest.failf "store evaluation differs at seed %d: %s" seed
+            (Sparql.Printer.to_string pattern);
         (* the naive evaluator goes through the handle's lazy term-level
            decode — exercise it on a sample of the cases *)
         if seed mod 20 = 0 then begin
@@ -179,17 +173,15 @@ let test_clear_cache_mid_life () =
   in
   with_store_file (E.of_graph g) (fun path ->
       let h = Storage.load_graph path in
-      let reference = solutions ~optimize:true pattern g in
-      let before = solutions ~optimize:true pattern h in
+      let reference = solutions pattern g in
+      let before = solutions pattern h in
       E.clear_cache ();
       Gc.full_major ();
       (* registry is gone: this resolution falls back to encoding the
          handle's decoded triples — answers must not change *)
-      let after = solutions ~optimize:true pattern h in
+      let after = solutions pattern h in
       (* a fresh load re-registers and must agree too *)
-      let reloaded = solutions ~optimize:true pattern
-          (Storage.load_graph path)
-      in
+      let reloaded = solutions pattern (Storage.load_graph path) in
       Alcotest.(check bool) "before eviction" true
         (Sparql.Mapping.Set.equal reference before);
       Alcotest.(check bool) "after eviction (decode fallback)" true
@@ -437,7 +429,7 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case "200 cases: mapped = heap (optimize on/off)"
+          Alcotest.test_case "200 cases: mapped = heap"
             `Quick test_differential;
           Alcotest.test_case "cache eviction mid-life" `Quick
             test_clear_cache_mid_life;

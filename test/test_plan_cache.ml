@@ -13,12 +13,37 @@ let check = Alcotest.check
 
 let set_equal = Sparql.Mapping.Set.equal
 
-let pattern =
-  Sparql.Parser.parse_exn "{ ?a p:knows ?b . OPTIONAL { ?b p:email ?m } }"
+(* The paper's F_5 ({!Workload.Query_families.f_k}): the OPTIONAL
+   child of its first tree hides a 5-clique, eleven triple patterns —
+   past the optimizer's naive-test limit, so that child runs the pebble
+   test whose caches this suite observes (pinned by
+   [test_fixture_routes_to_pebble]). *)
+let pattern = Wdpt.Pattern_forest.to_algebra (Workload.Query_families.f_k 5)
 
-let graph = Generator.social ~seed:5 ~people:30
+(* A random r-tournament plus p-edges from two more anchors to every
+   node: each node's clique verdict repeats across anchors, so the
+   verdict memo has something to reuse within one evaluation. *)
+let store ~seed ~n =
+  let g, _ = Workload.Graph_families.tournament_instance ~seed ~n in
+  let anchored a =
+    List.init n (fun j ->
+        Triple.make (Term.iri a) (Term.iri "p:p")
+          (Workload.Graph_families.tnode j))
+  in
+  Graph.union g (Graph.of_triples (anchored "n:a1" @ anchored "n:a2"))
+
+let graph = store ~seed:5 ~n:8
+let other_graph = store ~seed:11 ~n:7
 
 let reference g = Sparql.Eval.eval pattern g
+
+let test_fixture_routes_to_pebble () =
+  let plan = Engine.plan pattern in
+  let clique_tree = List.hd plan.Engine.forest and clique_child = 2 in
+  check Alcotest.bool "the optimizer routes the clique child to pebble" true
+    ((Plan_cache.node_decision plan.Engine.cache graph clique_tree
+        clique_child)
+       .Optimizer.Join_order.maximality = `Pebble)
 
 (* ------------------------------------------------------------------ *)
 (* Epoch stamps                                                        *)
@@ -42,12 +67,8 @@ let test_epochs () =
 (* Warm reuse on an unchanged graph                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* These counter assertions pin the pebble path explicitly: with the
-   cost-based optimizer on, tiny nodes run their maximality tests as
-   naive backtracking checks and never touch the verdict memo — which
-   is the point of the optimizer, but not what this suite tests. *)
 let test_warm_reuse () =
-  let plan = Engine.plan ~optimize:false pattern in
+  let plan = Engine.plan pattern in
   let a1, s1 = Engine.solutions_stats plan graph in
   let s1 = Option.get s1 in
   let a2, s2 = Engine.solutions_stats plan graph in
@@ -69,7 +90,7 @@ let test_warm_reuse () =
 (* ------------------------------------------------------------------ *)
 
 let test_epoch_invalidation () =
-  let plan = Engine.plan ~optimize:false pattern in
+  let plan = Engine.plan pattern in
   let a1, s1 = Engine.solutions_stats plan graph in
   let s1 = Option.get s1 in
   check Alcotest.bool "first run matches the reference" true
@@ -80,8 +101,8 @@ let test_epoch_invalidation () =
     Graph.union graph
       (Graph.of_triples
          [
-           Triple.make (Term.iri "n:fresh") (Term.iri "p:knows")
-             (Term.iri "n:person0");
+           Triple.make (Term.iri "n:fresh") (Term.iri "p:p")
+             (Workload.Graph_families.tnode 0);
          ])
   in
   let a2, s2 = Engine.solutions_stats plan g2 in
@@ -120,8 +141,8 @@ let run_on plan g =
   Option.get s
 
 let test_mru_two_stores () =
-  let plan = Engine.plan ~optimize:false pattern in
-  let g1 = graph and g2 = Generator.social ~seed:11 ~people:25 in
+  let plan = Engine.plan pattern in
+  let g1 = graph and g2 = other_graph in
   let _ = run_on plan g1 in
   let s2 = run_on plan g2 in
   check Alcotest.int "switching stores builds a second entry" 1
@@ -143,8 +164,8 @@ let test_mru_two_stores () =
     !s.Plan_cache.pebble.Wd_core.Pebble_cache.compiled
 
 let test_plan_capacity_eviction () =
-  let plan = Engine.plan ~optimize:false ~plan_capacity:1 pattern in
-  let g1 = graph and g2 = Generator.social ~seed:11 ~people:25 in
+  let plan = Engine.plan ~plan_capacity:1 pattern in
+  let g1 = graph and g2 = other_graph in
   let _ = run_on plan g1 in
   let s2 = run_on plan g2 in
   let s3 = run_on plan g1 in
@@ -182,12 +203,19 @@ let test_unary_sharing () =
       "{ ?a p:knows ?b . OPTIONAL { ?a p:knows ?y . ?y p:active p:yes } \
        OPTIONAL { ?b p:knows ?z . ?z p:active p:yes } }"
   in
-  let plan = Engine.plan ~optimize:false p in
-  let answers, s = Engine.solutions_stats plan g in
-  let s = Option.get s in
+  let plan = Engine.plan p in
+  let answers = Engine.solutions plan g in
   check Alcotest.bool "answers match the reference" true
     (set_equal answers (Sparql.Eval.eval p g));
-  let pb = s.Plan_cache.pebble in
+  (* children this small run the optimizer's naive test during
+     enumeration; membership checks always play the pebble game, through
+     the same plan cache *)
+  Sparql.Mapping.Set.iter
+    (fun mu ->
+      check Alcotest.bool "every answer checks as a member" true
+        (Engine.check plan g mu))
+    answers;
+  let pb = (Plan_cache.stats plan.Engine.cache).Plan_cache.pebble in
   check Alcotest.bool "some unary domains were scanned" true
     (pb.Wd_core.Pebble_cache.unary_misses > 0);
   check Alcotest.bool "the two children's games share unary scans" true
@@ -204,9 +232,9 @@ module Pebble_cache = Wd_core.Pebble_cache
    verdict lookups — eviction may force recompilation, never lose
    counters — and every total is monotone run over run. *)
 let test_retired_reconcile_churn () =
-  let g1 = graph and g2 = Generator.social ~seed:11 ~people:25 in
-  let churn = Engine.plan ~optimize:false ~plan_capacity:1 pattern in
-  let roomy = Engine.plan ~optimize:false pattern in
+  let g1 = graph and g2 = other_graph in
+  let churn = Engine.plan ~plan_capacity:1 pattern in
+  let roomy = Engine.plan pattern in
   let lookups s =
     s.Plan_cache.pebble.Pebble_cache.hits
     + s.Plan_cache.pebble.Pebble_cache.misses
@@ -248,28 +276,38 @@ let test_retired_reconcile_churn () =
 (* ------------------------------------------------------------------ *)
 
 let test_verdict_lru () =
-  let capped = Engine.plan ~optimize:false ~verdict_capacity:1 pattern in
-  let uncapped = Engine.plan ~optimize:false pattern in
-  let ac, sc = Engine.solutions_stats capped graph in
-  let au, su = Engine.solutions_stats uncapped graph in
-  let sc = Option.get sc and su = Option.get su in
+  let run cache =
+    let answers =
+      Wd_core.Enumerate.solutions ~maximality:(`Pebble 1)
+        ~kernel:(Wd_core.Pebble_eval.Cached cache)
+        (Wdpt.Pattern_forest.of_algebra pattern)
+        graph
+    in
+    (answers, Pebble_cache.stats cache)
+  in
+  let ac, sc = run (Pebble_cache.create ~verdict_capacity:1 graph) in
+  let au, su = run (Pebble_cache.create graph) in
   check Alcotest.bool "capped answers = uncapped answers" true
     (set_equal ac au);
   check Alcotest.bool "capped answers = reference" true
     (set_equal ac (reference graph));
   check Alcotest.bool "a capacity of 1 must evict" true
-    (sc.Plan_cache.pebble.Wd_core.Pebble_cache.evictions > 0);
+    (sc.Pebble_cache.evictions > 0);
   check Alcotest.int "the generous default evicts nothing" 0
-    su.Plan_cache.pebble.Wd_core.Pebble_cache.evictions;
+    su.Pebble_cache.evictions;
   (* the cap trades memo hits for recomputation, nothing else *)
   check Alcotest.bool "capped run recomputes more" true
-    (sc.Plan_cache.pebble.Wd_core.Pebble_cache.misses
-    >= su.Plan_cache.pebble.Wd_core.Pebble_cache.misses)
+    (sc.Pebble_cache.misses >= su.Pebble_cache.misses)
 
 let () =
   Alcotest.run "plan_cache"
     [
       ("epochs", [ Alcotest.test_case "stamps" `Quick test_epochs ]);
+      ( "fixture",
+        [
+          Alcotest.test_case "the clique child runs the pebble test" `Quick
+            test_fixture_routes_to_pebble;
+        ] );
       ( "reuse",
         [
           Alcotest.test_case "warm reuse" `Quick test_warm_reuse;

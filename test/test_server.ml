@@ -452,21 +452,9 @@ let test_reload_picks_up_segments () =
 (* Result bindings follow the SPARQL 1.1 JSON format: literals, which
    the engine carries as reserved-namespace IRIs, come back as
    "literal" terms with their language tag or datatype, never as IRIs. *)
-let test_literal_bindings () =
-  let xsd_int = "http://www.w3.org/2001/XMLSchema#integer" in
-  let graph =
-    match
-      Rdf.Turtle.parse_graph
-        (Printf.sprintf
-           "n:alice p:name \"Alice\"@en .\n\
-            n:alice p:age \"42\"^^<%s> .\n\
-            n:alice p:nick \"ally\" .\n\
-            n:alice p:knows n:bob .\n"
-           xsd_int)
-    with
-    | Ok g -> g
-    | Error e -> Alcotest.failf "fixture does not parse: %s" e
-  in
+(* Run [f port] against a server over [graph] with no global budget, so
+   every query is admitted, then drain it. *)
+let with_open_server graph f =
   let t =
     Server.start
       {
@@ -483,33 +471,53 @@ let test_literal_bindings () =
           };
       }
   in
-  let port = Server.port t in
   Fun.protect
     ~finally:(fun () ->
       Server.initiate_drain t;
       ignore (Server.join t))
-    (fun () ->
-      let resp =
-        post_query ~port
+    (fun () -> f (Server.port t))
+
+(* POST [q], expect a 200, and return the parsed JSON body. *)
+let query_json ~port q =
+  let resp = post_query ~port q in
+  check Alcotest.int "query is 200" 200 (response_status resp);
+  match Astring.String.cut ~sep:"\r\n\r\n" resp with
+  | None -> Alcotest.failf "response has no body: %S" resp
+  | Some (_, body) -> (
+      match Json.of_string body with
+      | Ok j -> j
+      | Error e -> Alcotest.failf "body is not JSON (%s): %S" e body)
+
+let test_literal_bindings () =
+  let xsd_int = "http://www.w3.org/2001/XMLSchema#integer" in
+  let graph =
+    match
+      Rdf.Turtle.parse_graph
+        (Printf.sprintf
+           "n:alice p:name \"Alice\"@en .\n\
+            n:alice p:age \"42\"^^<%s> .\n\
+            n:alice p:nick \"ally\" .\n\
+            n:alice p:knows n:bob .\n"
+           xsd_int)
+    with
+    | Ok g -> g
+    | Error e -> Alcotest.failf "fixture does not parse: %s" e
+  in
+  with_open_server graph (fun port ->
+      let j =
+        query_json ~port
           "{ ?s p:name ?name . ?s p:age ?age . ?s p:nick ?nick . ?s p:knows \
            ?f }"
       in
-      check Alcotest.int "query is 200" 200 (response_status resp);
-      let body =
-        match Astring.String.cut ~sep:"\r\n\r\n" resp with
-        | Some (_, body) -> body
-        | None -> Alcotest.failf "response has no body: %S" resp
-      in
       let bindings =
-        match Json.of_string body with
-        | Error e -> Alcotest.failf "body is not JSON (%s): %S" e body
-        | Ok j -> (
-            match
-              Option.bind (Json.member "results" j) (Json.member "bindings")
-              |> Fun.flip Option.bind Json.to_list
-            with
-            | Some [ b ] -> b
-            | _ -> Alcotest.failf "expected exactly one solution: %S" body)
+        match
+          Option.bind (Json.member "results" j) (Json.member "bindings")
+          |> Fun.flip Option.bind Json.to_list
+        with
+        | Some [ b ] -> b
+        | _ ->
+            Alcotest.failf "expected exactly one solution: %s"
+              (Json.to_string j)
       in
       let term = Alcotest.testable Json.pp ( = ) in
       let sorted = function
@@ -530,6 +538,33 @@ let test_literal_bindings () =
       expect "age"
         [ ("type", "literal"); ("value", "42"); ("datatype", xsd_int) ];
       expect "nick" [ ("type", "literal"); ("value", "ally") ])
+
+(* A variable bound only inside a pruned subtree still heads the
+   results: pruning may drop the unsatisfiable OPTIONAL arm, but the
+   query as written projects ?z, exactly like its satisfiable
+   spelling. *)
+let test_head_vars_survive_pruning () =
+  with_open_server (smoke_config ()).Server.graph (fun port ->
+      let head_vars q =
+        let j = query_json ~port q in
+        match
+          Option.bind (Json.member "head" j) (Json.member "vars")
+          |> Fun.flip Option.bind Json.to_list
+        with
+        | Some vs ->
+            List.map
+              (function
+                | Json.String v -> v
+                | v -> Alcotest.failf "non-string head var %a" Json.pp v)
+              vs
+        | None -> Alcotest.failf "no head.vars in %s" (Json.to_string j)
+      in
+      let vars = Alcotest.(list string) in
+      check vars "satisfiable spelling" [ "x"; "y"; "z" ]
+        (head_vars "{ ?x p:knows ?y OPTIONAL { ?x p:email ?z } }");
+      check vars "pruned spelling keeps ?z" [ "x"; "y"; "z" ]
+        (head_vars
+           "{ ?x p:knows ?y OPTIONAL { ?x p:email ?z FILTER (?z != ?z) } }"))
 
 let () =
   Alcotest.run "server"
@@ -562,6 +597,8 @@ let () =
         [
           Alcotest.test_case "literals are typed SPARQL JSON terms" `Quick
             test_literal_bindings;
+          Alcotest.test_case "pruned variables stay in the head" `Quick
+            test_head_vars_survive_pruning;
         ] );
       ( "smoke",
         [
