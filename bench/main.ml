@@ -214,8 +214,8 @@ let f1 () =
   Fmt.pr "branch K_k forces the naive evaluator into a clique-like search@.";
   Fmt.pr "while the 2-pebble algorithm stays polynomial.@.@.";
   let n = if !fast then 20 else 32 in
-  Fmt.pr "%4s %6s %12s %12s %8s %7s@." "k" "answer" "naive(ms)" "pebble(ms)"
-    "ratio" "agree";
+  Fmt.pr "%4s %6s %12s %12s %8s %7s %10s@." "k" "answer" "naive(ms)" "pebble(ms)"
+    "ratio" "agree" "plan(ms)";
   let ks = if !fast then [ 2; 4; 6; 8; 9 ] else [ 2; 4; 6; 8; 9; 10; 11; 12; 13 ] in
   let stop = ref false in
   List.iter
@@ -229,14 +229,21 @@ let f1 () =
         let pebble_ans, t_pebble =
           time_median ~runs:3 (fun () -> Wd_core.Pebble_eval.check ~k:1 forest g mu)
         in
-        Fmt.pr "%4d %6b %12.3f %12.3f %8.1f %7b@." k naive_ans (ms t_naive)
+        (* the plan a fresh `check` builds first: the exact dw of F_k *)
+        let pattern = Wdpt.Pattern_forest.to_algebra forest in
+        let _, t_plan =
+          time_median ~runs:3 (fun () -> Wd_core.Engine.plan pattern)
+        in
+        Fmt.pr "%4d %6b %12.3f %12.3f %8.1f %7b %10.3f@." k naive_ans (ms t_naive)
           (ms t_pebble)
           (t_naive /. t_pebble)
-          (naive_ans = pebble_ans);
+          (naive_ans = pebble_ans) (ms t_plan);
         record ~experiment:"F1" ~metric:(Printf.sprintf "k%d.naive_ms" k)
           (ms t_naive);
         record ~experiment:"F1" ~metric:(Printf.sprintf "k%d.pebble_ms" k)
           (ms t_pebble);
+        record ~experiment:"F1" ~metric:(Printf.sprintf "k%d.plan_ms" k)
+          (ms t_plan);
         if t_naive > 5.0 then stop := true
       end)
     ks;
@@ -296,6 +303,7 @@ let t2 () =
     "Definitions 2-3, Proposition 5, §3.1 (lt => bounded dw, not conversely)";
   Fmt.pr "%-22s %6s %5s %5s %5s %18s@." "family" "nodes" "bw" "lt" "dw"
     "prop5 (dw=bw)";
+  let violations = ref [] in
   let row name forest =
     let dw = Wd_core.Domination_width.of_forest forest in
     let lt = Wd_core.Local_tractability.width_of_forest forest in
@@ -306,6 +314,7 @@ let t2 () =
           (string_of_int bw, if bw = dw then "ok" else "VIOLATED")
       | _ -> ("-", "n/a (union)")
     in
+    if prop5 = "VIOLATED" then violations := name :: !violations;
     Fmt.pr "%-22s %6d %5s %5d %5d %18s@." name
       (Wdpt.Pattern_forest.size forest) bw lt dw prop5
   in
@@ -326,7 +335,13 @@ let t2 () =
       row (Printf.sprintf "grid(%dx%d)" r c) [ Query_families.grid_query ~rows:r ~cols:c ])
     [ (2, 2); (2, 4); (3, 3); (3, 6) ];
   Fmt.pr "@.shape: lt grows with k on T'_k and F_k while dw stays 1 (local@.";
-  Fmt.pr "tractability is strictly weaker); clique_child/grid have growing dw.@."
+  Fmt.pr "tractability is strictly weaker); clique_child/grid have growing dw.@.";
+  if !violations <> [] then begin
+    Fmt.epr "T2: Proposition 5 (dw = bw) violated on %a@."
+      Fmt.(list ~sep:comma string)
+      (List.rev !violations);
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* F3 — data scaling of the Theorem-1 algorithm                        *)

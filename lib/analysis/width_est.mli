@@ -5,10 +5,9 @@
 
     Soundness chain for the bounds: for each non-root node [n],
     [ctw(S^br_n, X^br_n) = tw(core(S^br_n, X^br_n)) ≤ tw(S^br_n, X^br_n)]
-    (the core is a substructure), which the min-fill/min-degree heuristics
-    of {!Graphtheory.Treewidth.upper_bound} bound from above. By
-    Proposition 5 the per-tree maximum bounds [bw = dw] of each tree, and
-    [dw] of a forest is the maximum over its trees. *)
+    (the core is a substructure), which {!Tgraphs.Gtgraph.tw_upper} bounds
+    from above. By Proposition 5 the per-tree maximum bounds [bw = dw] of
+    each tree, and [dw] of a forest is the maximum over its trees. *)
 
 type node_est = {
   node : Wdpt.Pattern_tree.node;

@@ -6,10 +6,20 @@
     its members of [ctw ≤ k] must homomorphically dominate the rest. The
     domination width is the least such [k] working for every subtree.
 
-    The computation below is a direct implementation and is exponential in
-    the query size (the recognition problem has a Πᵖ₂ upper bound and is
-    NP-hard already for UNION-free patterns, Section 5); queries are small
-    so this is fine in practice. *)
+    The level of a family is decided lazily, for [k = 1, 2, …]. A member
+    whose polynomial treewidth bound ({!Tgraphs.Gtgraph.tw_upper}) is
+    [≤ k] has [ctw ≤ k] without a core, and every member it maps into is
+    dominated. Only the members neither test settles have their core
+    computed ({!Tgraphs.Cores.ctw}), once each; homomorphism tests are
+    memoised too. So [dw(F_k) = 1] (Example 5) costs no core at all,
+    while the worst case stays exponential in the query size (the
+    recognition problem has a Πᵖ₂ upper bound and is NP-hard already for
+    UNION-free patterns, Section 5).
+
+    The result is exactly the least [k] of Definition 2 whenever every
+    member's Gaifman graph is within the exact limit of
+    {!Graphtheory.Treewidth.treewidth}. Beyond it, it is an upper bound
+    on the domination width, which is all Theorem 1 needs. *)
 
 open Tgraphs
 
@@ -17,7 +27,8 @@ val dominated_at : ?budget:Resource.Budget.t -> Gtgraph.t list -> int -> bool
 (** [dominated_at g k]: is the family [k]-dominated? *)
 
 val domination_level : ?budget:Resource.Budget.t -> Gtgraph.t list -> int
-(** The least [k ≥ 1] at which the family is [k]-dominated. *)
+(** The least [k ≥ 1] at which the family is [k]-dominated, found by the
+    lazy test above. *)
 
 val of_subtree :
   ?budget:Resource.Budget.t -> Wdpt.Pattern_forest.t -> Wdpt.Subtree.t -> int

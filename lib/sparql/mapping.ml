@@ -51,7 +51,10 @@ let equal = Variable.Map.equal Iri.equal
 let compare = Variable.Map.compare Iri.compare
 
 let pp ppf m =
-  let binding ppf (v, i) = Fmt.pf ppf "%a ↦ %a" Variable.pp v Iri.pp i in
+  (* [Term.pp] prints encoded literals back in literal syntax *)
+  let binding ppf (v, i) =
+    Fmt.pf ppf "%a ↦ %a" Variable.pp v Term.pp (Term.Iri i)
+  in
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma binding) (to_list m)
 
 module Set = Set.Make (struct

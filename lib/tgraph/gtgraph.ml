@@ -37,10 +37,15 @@ let maps_to_graph t ~mu graph = Option.is_some (hom_to_graph t ~mu graph)
 
 let subgraph a b = Variable.Set.equal a.x b.x && Tgraph.subset a.s b.s
 
-let tw ?budget t =
+(* Both widths follow the paper's convention: 1 when the Gaifman graph on
+   vars(S) \ X has no vertices or no edges. *)
+let width measure t =
   let gaifman, _ = Gaifman.graph t.x t.s in
   if Graphtheory.Ugraph.n gaifman = 0 || Graphtheory.Ugraph.m gaifman = 0 then 1
-  else max 1 (Graphtheory.Treewidth.treewidth ?budget gaifman)
+  else max 1 (measure gaifman)
+
+let tw ?budget = width (Graphtheory.Treewidth.treewidth ?budget)
+let tw_upper ?budget = width (Graphtheory.Treewidth.upper_bound ?budget)
 
 let equal a b = Tgraph.equal a.s b.s && Variable.Set.equal a.x b.x
 

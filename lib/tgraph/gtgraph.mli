@@ -45,5 +45,11 @@ val tw : ?budget:Resource.Budget.t -> t -> int
     [vars(S) \ X], defined as 1 when that graph has no vertices or no
     edges. *)
 
+val tw_upper : ?budget:Resource.Budget.t -> t -> int
+(** A polynomial upper bound on {!tw}, same convention: the better of the
+    min-fill and min-degree elimination heuristics
+    ({!Graphtheory.Treewidth.upper_bound}). A core is a subgraph, so this
+    also bounds [ctw] whenever the core's treewidth is computed exactly. *)
+
 val equal : t -> t -> bool
 val pp : t Fmt.t

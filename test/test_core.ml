@@ -74,7 +74,133 @@ let test_example5 () =
     (fun k ->
       check Alcotest.int (Printf.sprintf "dw(F_%d) = 1" k) 1
         (Domination_width.of_forest (Query_families.f_k k)))
-    [ 2; 3; 4; 5 ]
+    [ 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
+
+(* The K_k member of GtG is dominated by a member whose treewidth bound is
+   already 1, so dw(F_k) needs no core at all. Computing every member's
+   core instead costs over 200,000 ticks on F_10. *)
+let test_example5_fuel () =
+  check Alcotest.int "dw(F_10) = 1 within 2,000 ticks" 1
+    (Domination_width.of_forest
+       ~budget:(Resource.Budget.make ~fuel:2_000 ())
+       (Query_families.f_k 10))
+
+(* Definition 2 read literally: the ctw of every member, then the least k
+   in {1} ∪ ctws at which the members of ctw <= k dominate the rest. The
+   oracle for the lazy [Domination_width.domination_level]. *)
+let reference_dominated with_ctw k =
+  List.for_all
+    (fun (c, g) ->
+      c <= k
+      || List.exists
+           (fun (c', g') -> c' <= k && Tgraphs.Gtgraph.maps_to g' g)
+           with_ctw)
+    with_ctw
+
+let reference_level with_ctw =
+  List.find (reference_dominated with_ctw)
+    (List.sort_uniq compare (1 :: List.map fst with_ctw))
+
+(* Every subtree's GtG gets the same level from both, and the lazy
+   [dominated_at] agrees with the oracle just below and at that level. *)
+let agrees_with_reference forest =
+  List.for_all
+    (fun tree ->
+      List.for_all
+        (fun st ->
+          let gtg = Wdpt.Children_assignment.gtg forest st in
+          let with_ctw = List.map (fun g -> (Tgraphs.Cores.ctw g, g)) gtg in
+          let level = reference_level with_ctw in
+          Domination_width.domination_level gtg = level
+          && List.for_all
+               (fun k ->
+                 Domination_width.dominated_at gtg k
+                 = reference_dominated with_ctw k)
+               (List.filter (fun k -> k >= 1) [ level - 1; level ]))
+        (Wdpt.Subtree.all tree))
+    forest
+
+let test_dw_reference_families () =
+  let tree name t = (name, [ t ]) in
+  let named =
+    List.map
+      (fun k -> (Printf.sprintf "F_%d" k, Query_families.f_k k))
+      [ 2; 3; 4; 5; 6; 7 ]
+    @ List.map
+        (fun k ->
+          tree (Printf.sprintf "clique_child %d" k) (Query_families.clique_child k))
+        [ 2; 3; 4; 5; 6 ]
+    @ List.map
+        (fun k -> tree (Printf.sprintf "T'_%d" k) (Query_families.t_prime_k k))
+        [ 2; 3; 4; 5; 6 ]
+    @ List.map
+        (fun (r, c) ->
+          tree (Printf.sprintf "grid %dx%d" r c)
+            (Query_families.grid_query ~rows:r ~cols:c))
+        [ (2, 2); (2, 3); (3, 3); (3, 4) ]
+    @ [
+        tree "comb 4" (Query_families.comb_query 4);
+        tree "star 6" (Query_families.star_query 6);
+        tree "path 6" (Query_families.path_query 6);
+      ]
+  in
+  List.iter
+    (fun (name, forest) ->
+      check Alcotest.bool (name ^ ": lazy = Definition 2") true
+        (agrees_with_reference forest))
+    named
+
+let dw_reference_random =
+  qcheck ~count:200 "lazy dw = Definition 2 on random patterns (2 unions)"
+    Testutil.wd_pattern (fun p ->
+      agrees_with_reference (Wdpt.Pattern_forest.of_algebra p))
+
+(* [random_wd_pattern]'s nodes hold at most two triples, so every GtG
+   member there has treewidth 1. These patterns give each child 2-4 fresh
+   variables joined at random to each other and to the root's two, so
+   members of treewidth 2-3, members that fold onto smaller cores and
+   members dominated only by non-trivial ones all occur. *)
+let dense_wd_pattern seed =
+  let state = Random.State.make [| seed; 977 |] in
+  let edge a b =
+    let pred = if Random.State.int state 4 = 0 then "p:s" else "p:r" in
+    Sparql.Algebra.triple
+      (Rdf.Triple.make (Rdf.Term.var a) (Rdf.Term.iri pred) (Rdf.Term.var b))
+  in
+  let tree t =
+    let x = Printf.sprintf "x%d" t and y = Printf.sprintf "y%d" t in
+    let child c =
+      let fresh =
+        List.init (2 + Random.State.int state 3) (Printf.sprintf "e%d_%d_%d" t c)
+      in
+      let vars = x :: y :: fresh in
+      let edges =
+        List.concat_map
+          (fun a ->
+            List.filter_map
+              (fun b ->
+                if a < b && (List.mem a fresh || List.mem b fresh)
+                   && Random.State.int state 100 < 55
+                then Some (edge a b)
+                else None)
+              vars)
+          vars
+      in
+      Sparql.Algebra.and_all
+        (if edges = [] then [ edge x (List.hd fresh) ] else edges)
+    in
+    List.fold_left
+      (fun acc c -> Sparql.Algebra.opt acc (child c))
+      (edge x y)
+      (List.init (1 + Random.State.int state 3) Fun.id)
+  in
+  Sparql.Algebra.union_all (List.init (1 + Random.State.int state 2) tree)
+
+let dw_reference_dense =
+  qcheck ~count:200 "lazy dw = Definition 2 on dense random patterns"
+    (QCheck.make ~print:Sparql.Printer.to_string
+       QCheck.Gen.(map dense_wd_pattern (int_bound 1_000_000)))
+    (fun p -> agrees_with_reference (Wdpt.Pattern_forest.of_algebra p))
 
 let test_dw_families () =
   List.iter
@@ -305,6 +431,12 @@ let () =
       ( "domination width",
         [
           Alcotest.test_case "paper example 5" `Quick test_example5;
+          Alcotest.test_case "paper example 5 needs no core" `Quick
+            test_example5_fuel;
+          Alcotest.test_case "named families = Definition 2" `Quick
+            test_dw_reference_families;
+          dw_reference_random;
+          dw_reference_dense;
           Alcotest.test_case "families" `Quick test_dw_families;
           Alcotest.test_case "empty family" `Quick test_domination_level;
           Alcotest.test_case "profile" `Quick test_profile;

@@ -46,6 +46,17 @@ let test_mapping_conversions () =
   let bad = Variable.Map.singleton (Variable.of_string "x") (v "y") in
   check Alcotest.bool "non-iri rejected" true (Mapping.of_assignment bad = None)
 
+(* Literals travel through the engine as reserved IRIs; a printed
+   solution shows them in literal syntax, never as their encoding. *)
+let test_mapping_prints_literals () =
+  let bind lit = m [ (Variable.of_string "v", Literal.encode lit) ] in
+  check Alcotest.string "language-tagged" "{?v ↦ \"Ann\"@en}"
+    (Printer.mapping_to_string (bind (Literal.lang_tagged "Ann" "en")));
+  check Alcotest.string "typed" "{?v ↦ \"5\"^^<urn:int>}"
+    (Printer.mapping_to_string (bind (Literal.typed "5" (iri "urn:int"))));
+  check Alcotest.string "plain IRI unchanged" "{?v ↦ n:a}"
+    (Printer.mapping_to_string (m [ (Variable.of_string "v", iri "n:a") ]))
+
 (* ------------------------------------------------------------------ *)
 (* Algebra                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -257,6 +268,7 @@ let () =
           Alcotest.test_case "compatibility/union" `Quick test_mapping_compat;
           Alcotest.test_case "apply" `Quick test_mapping_apply;
           Alcotest.test_case "conversions" `Quick test_mapping_conversions;
+          Alcotest.test_case "prints literals" `Quick test_mapping_prints_literals;
         ] );
       ( "algebra",
         [ Alcotest.test_case "accessors" `Quick test_algebra_accessors ] );
