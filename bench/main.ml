@@ -473,34 +473,54 @@ let t4 () =
 (* ------------------------------------------------------------------ *)
 
 let f4 () =
-  header "F4" "treewidth: exact DP vs elimination heuristics"
+  header "F4" "exact treewidth (branch and bound) vs elimination heuristics"
     "Section 2 (treewidth machinery the width measures rest on)";
-  Fmt.pr "%4s %10s %10s %10s %12s@." "n" "avg exact" "avg minfill" "max gap"
-    "exact(ms)";
+  Fmt.pr "%4s %10s %10s %10s %12s %10s@." "n" "avg exact" "avg minfill"
+    "max gap" "exact(ms)" "td gap";
   let sizes = if !fast then [ 8; 10; 12 ] else [ 8; 10; 12; 14; 16 ] in
+  let gaps = ref [] in
   List.iter
     (fun n ->
       let trials = 12 in
-      let sum_exact = ref 0 and sum_heur = ref 0 and max_gap = ref 0 in
-      let _, t =
-        time_once (fun () ->
-            for seed = 1 to trials do
-              let g = Testutil_lite.ugraph_of_seed ~n seed in
-              let exact = Graphtheory.Treewidth.treewidth g in
-              let _, heur = Graphtheory.Treewidth.min_fill_order g in
-              sum_exact := !sum_exact + exact;
-              sum_heur := !sum_heur + heur;
-              max_gap := max !max_gap (heur - exact)
-            done)
+      let graphs =
+        List.init trials (fun i -> Testutil_lite.ugraph_of_seed ~n (i + 1))
       in
-      Fmt.pr "%4d %10.2f %10.2f %10d %12.2f@." n
+      let sum_exact = ref 0 and sum_heur = ref 0 and max_gap = ref 0 in
+      let widths, t =
+        time_once (fun () -> List.map Graphtheory.Treewidth.treewidth graphs)
+      in
+      (* decomposition width minus treewidth: the decomposition must
+         witness the exact width, so any non-zero gap is a defect *)
+      let td_gap = ref 0 in
+      List.iter2
+        (fun g exact ->
+          let _, heur = Graphtheory.Treewidth.min_fill_order g in
+          let td = Graphtheory.Treewidth.decomposition g in
+          sum_exact := !sum_exact + exact;
+          sum_heur := !sum_heur + heur;
+          max_gap := max !max_gap (heur - exact);
+          td_gap := max !td_gap (abs (Graphtheory.Tree_decomposition.width td - exact)))
+        graphs widths;
+      let exact_ms = ms t /. float_of_int trials in
+      Fmt.pr "%4d %10.2f %10.2f %10d %12.2f %10d@." n
         (float_of_int !sum_exact /. float_of_int trials)
         (float_of_int !sum_heur /. float_of_int trials)
-        !max_gap
-        (ms t /. float_of_int trials))
+        !max_gap exact_ms !td_gap;
+      record ~experiment:"F4" ~metric:(Printf.sprintf "n%d.exact_ms" n) exact_ms;
+      record ~experiment:"F4"
+        ~metric:(Printf.sprintf "n%d.decomposition_gap" n)
+        (float_of_int !td_gap);
+      if !td_gap <> 0 then gaps := n :: !gaps)
     sizes;
-  Fmt.pr "@.shape: min-fill tracks the exact value closely; exact cost grows@.";
-  Fmt.pr "exponentially in n (2^n DP) — fine for query-sized graphs.@."
+  Fmt.pr "@.shape: min-fill tracks the exact value closely; the branch and@.";
+  Fmt.pr "bound's cost grows with n but stays in milliseconds on query-sized@.";
+  Fmt.pr "graphs, and every decomposition attains the exact width (td gap 0).@.";
+  if !gaps <> [] then begin
+    Fmt.epr "F4: decomposition width differs from treewidth at n = %a@."
+      Fmt.(list ~sep:comma int)
+      (List.rev !gaps);
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* T5 — translation sizes                                              *)

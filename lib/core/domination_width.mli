@@ -17,9 +17,10 @@
     UNION-free patterns, Section 5).
 
     The result is exactly the least [k] of Definition 2 whenever every
-    member's Gaifman graph is within the exact limit of
-    {!Graphtheory.Treewidth.treewidth}. Beyond it, it is an upper bound
-    on the domination width, which is all Theorem 1 needs. *)
+    member's Gaifman graph is within the 20-vertex exact limit of
+    {!Graphtheory.Treewidth.treewidth} (its branch and bound). Beyond
+    it, it is an upper bound on the domination width, which is all
+    Theorem 1 needs. *)
 
 open Tgraphs
 

@@ -2,84 +2,6 @@ module ISet = Ugraph.ISet
 module Budget = Resource.Budget
 
 (* ------------------------------------------------------------------ *)
-(* Exact treewidth: the O(2^n) dynamic programme of Bodlaender et al.
-   f(S) = min over v in S of max (f(S \ {v}), q(S \ {v}, v)) where
-   q(S, v) counts vertices outside S ∪ {v} reachable from v through S.
-   f(V) is the treewidth. Sets are int bitmasks. *)
-(* ------------------------------------------------------------------ *)
-
-let adjacency_masks g =
-  let n = Ugraph.n g in
-  Array.init n (fun v ->
-      ISet.fold (fun u acc -> acc lor (1 lsl u)) (Ugraph.adj g v) 0)
-
-(* Reachable-through-S closure from v: expand adj within S to fixpoint. *)
-let q_count adj full v s =
-  let rec grow reached =
-    let frontier = reached land s in
-    let expanded =
-      let acc = ref reached in
-      let rest = ref frontier in
-      while !rest <> 0 do
-        let u = !rest land - !rest in
-        let i =
-          (* index of lowest set bit *)
-          let rec bit k m = if m land 1 = 1 then k else bit (k + 1) (m lsr 1) in
-          bit 0 u
-        in
-        acc := !acc lor adj.(i);
-        rest := !rest land lnot u
-      done;
-      !acc
-    in
-    if expanded = reached then reached else grow expanded
-  in
-  let reached = grow adj.(v) in
-  let outside = reached land lnot s land lnot (1 lsl v) land full in
-  let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1)) in
-  popcount outside
-
-let exact ?(budget = Budget.unlimited) ?(limit = 20) g =
-  let n = Ugraph.n g in
-  if n > limit then None
-  else if n = 0 then Some (-1)
-  else
-    Budget.with_phase budget "treewidth" @@ fun () ->
-    begin
-    let adj = adjacency_masks g in
-    let full = (1 lsl n) - 1 in
-    let size = 1 lsl n in
-    let f = Bytes.make size '\255' in
-    (* f(∅) = -1 encoded as 255 → interpreted as -1 below. *)
-    let get s =
-      let b = Char.code (Bytes.get f s) in
-      if b = 255 then -1 else b
-    in
-    let set s v = Bytes.set f s (Char.chr (if v < 0 then 255 else v)) in
-    set 0 (-1);
-    (* iterate subsets in increasing order: s-1 ⊂ relevant already done
-       because removing a bit yields a smaller integer. *)
-    for s = 1 to full do
-      Budget.tick budget;
-      let best = ref max_int in
-      let rest = ref s in
-      while !rest <> 0 do
-        let bit = !rest land - !rest in
-        let v =
-          let rec idx k m = if m land 1 = 1 then k else idx (k + 1) (m lsr 1) in
-          idx 0 bit
-        in
-        let s' = s land lnot bit in
-        let candidate = max (get s') (q_count adj full v s') in
-        if candidate < !best then best := candidate;
-        rest := !rest land lnot bit
-      done;
-      set s !best
-    done;
-    Some (get full)
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Elimination heuristics.                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -140,33 +62,70 @@ let fill_in adjacency v =
 
 let min_fill_order ?budget g = eliminate_with ?budget (argmin_alive fill_in) g
 
+let lower_bound ?(budget = Budget.unlimited) g =
+  (* Maximum-minimum-degree: repeatedly delete a minimum-degree vertex,
+     recording the largest minimum degree seen. *)
+  let n = Ugraph.n g in
+  if n = 0 then -1
+  else begin
+    let adjacency = Array.init n (fun v -> Ugraph.adj g v) in
+    let alive = Array.make n true in
+    let best = ref 0 in
+    for _ = 1 to n do
+      Budget.tick budget;
+      let v = argmin_alive (fun adjacency v -> ISet.cardinal adjacency.(v)) adjacency alive in
+      best := max !best (ISet.cardinal adjacency.(v));
+      ISet.iter (fun a -> adjacency.(a) <- ISet.remove v adjacency.(a)) adjacency.(v);
+      adjacency.(v) <- ISet.empty;
+      alive.(v) <- false
+    done;
+    !best
+  end
+
+(* The better of the two heuristic orders, and its width. *)
+let heuristic_order ?budget g =
+  let fill = min_fill_order ?budget g in
+  let degree = min_degree_order ?budget g in
+  if snd degree < snd fill then degree else fill
+
+let upper_bound ?budget g = snd (heuristic_order ?budget g)
+
 (* ------------------------------------------------------------------ *)
-(* Exact treewidth, second opinion: branch and bound over elimination
-   orderings. State: adjacency sets of the not-yet-eliminated vertices,
-   identified by the bitmask of remaining vertices (memoised).            *)
+(* Exact treewidth: branch and bound over elimination orderings, after
+   Gogate & Dechter's QuickBB. The heuristic order is the initial bound;
+   a branch is cut as soon as its width reaches the best found, simplicial
+   vertices are eliminated without branching (doing so first never hurts
+   optimality), and each set of remaining vertices, as a bitmask, is
+   memoised with the smallest width seen entering it. Returns the width
+   and an elimination order attaining it.                                *)
 (* ------------------------------------------------------------------ *)
 
-let exact_branch_and_bound ?(budget = Budget.unlimited) ?(limit = 26) g =
+let default_limit = 20
+
+let branch_and_bound ?(budget = Budget.unlimited) ?(limit = default_limit) g =
   let n = Ugraph.n g in
   if n > limit then None
-  else if n = 0 then Some (-1)
+  else if n = 0 then Some (-1, [])
   else
     Budget.with_phase budget "treewidth" @@ fun () ->
     begin
-    let best = ref (snd (min_fill_order ~budget g)) in
+    let order, width = heuristic_order ~budget g in
+    let best = ref width and best_order = ref order in
     (* visited: remaining-set -> smallest width-so-far seen entering it *)
     let visited : (int, int) Hashtbl.t = Hashtbl.create 4096 in
-    let rec go adjacency remaining width =
+    (* [eliminated] is the elimination prefix, most recent first *)
+    let rec go adjacency remaining width eliminated =
       Budget.tick budget;
       if width >= !best then ()
-      else if remaining = 0 then best := width
+      else if remaining = 0 then begin
+        best := width;
+        best_order := List.rev eliminated
+      end
       else begin
         match Hashtbl.find_opt visited remaining with
         | Some w when w <= width -> ()
         | _ ->
             Hashtbl.replace visited remaining width;
-            (* simplicial vertices can be eliminated greedily: doing so
-               first never hurts optimality *)
             let simplicial =
               let found = ref (-1) in
               for v = 0 to n - 1 do
@@ -198,7 +157,7 @@ let exact_branch_and_bound ?(budget = Budget.unlimited) ?(limit = 26) g =
                       nbrs)
                   nbrs;
                 adjacency'.(v) <- ISet.empty;
-                go adjacency' (remaining land lnot (1 lsl v)) width'
+                go adjacency' (remaining land lnot (1 lsl v)) width' (v :: eliminated)
               end
             in
             if simplicial >= 0 then eliminate simplicial
@@ -209,37 +168,13 @@ let exact_branch_and_bound ?(budget = Budget.unlimited) ?(limit = 26) g =
       end
     in
     let adjacency = Array.init n (fun v -> Ugraph.adj g v) in
-    go adjacency ((1 lsl n) - 1) 0;
-    Some !best
+    go adjacency ((1 lsl n) - 1) 0 [];
+    Some (!best, !best_order)
   end
 
+let exact ?budget ?limit g = Option.map fst (branch_and_bound ?budget ?limit g)
 
-let lower_bound ?(budget = Budget.unlimited) g =
-  (* Maximum-minimum-degree: repeatedly delete a minimum-degree vertex,
-     recording the largest minimum degree seen. *)
-  let n = Ugraph.n g in
-  if n = 0 then -1
-  else begin
-    let adjacency = Array.init n (fun v -> Ugraph.adj g v) in
-    let alive = Array.make n true in
-    let best = ref 0 in
-    for _ = 1 to n do
-      Budget.tick budget;
-      let v = argmin_alive (fun adjacency v -> ISet.cardinal adjacency.(v)) adjacency alive in
-      best := max !best (ISet.cardinal adjacency.(v));
-      ISet.iter (fun a -> adjacency.(a) <- ISet.remove v adjacency.(a)) adjacency.(v);
-      adjacency.(v) <- ISet.empty;
-      alive.(v) <- false
-    done;
-    !best
-  end
-
-let upper_bound ?budget g =
-  let _, w1 = min_fill_order ?budget g in
-  let _, w2 = min_degree_order ?budget g in
-  min w1 w2
-
-let treewidth ?budget ?(exact_limit = 20) g =
+let treewidth ?budget ?(exact_limit = default_limit) g =
   match exact ?budget ~limit:exact_limit g with
   | Some w -> w
   | None -> upper_bound ?budget g
@@ -250,37 +185,10 @@ let is_at_most ?budget g k =
   else if upper_bound ?budget g <= k then true
   else treewidth ?budget g <= k
 
-let decomposition ?(budget = Budget.unlimited) g =
-  if Ugraph.n g = 0 then Tree_decomposition.make ~bags:[||] ~tree_edges:[]
-  else begin
-    let target = treewidth ~budget g in
-    let order, w = min_fill_order ~budget g in
-    if w = target then Tree_decomposition.of_elimination_order g order
-    else begin
-      (* Search for an optimal ordering greedily guided by the DP values:
-         fall back to brute-force over orders only for very small graphs. *)
-      let n = Ugraph.n g in
-      if n <= 9 then begin
-        let best = ref (order, w) in
-        let rec permute prefix remaining =
-          Budget.tick budget;
-          if snd !best = target then ()
-          else
-            match remaining with
-            | [] ->
-                let ord = List.rev prefix in
-                let d = Tree_decomposition.of_elimination_order g ord in
-                let width = Tree_decomposition.width d in
-                if width < snd !best then best := (ord, width)
-            | _ ->
-                List.iter
-                  (fun v ->
-                    permute (v :: prefix) (List.filter (fun u -> u <> v) remaining))
-                  remaining
-        in
-        permute [] (List.init n Fun.id);
-        Tree_decomposition.of_elimination_order g (fst !best)
-      end
-      else Tree_decomposition.of_elimination_order g order
-    end
-  end
+let decomposition ?budget g =
+  let order =
+    match branch_and_bound ?budget g with
+    | Some (_, order) -> order
+    | None -> fst (heuristic_order ?budget g)
+  in
+  Tree_decomposition.of_elimination_order g order

@@ -1,5 +1,5 @@
-(** Treewidth computation: exact (exponential, for small graphs) and
-    heuristic bounds.
+(** Treewidth computation: one exact algorithm (exponential, for small
+    graphs) and heuristic bounds.
 
     Every function accepts an optional [budget]; the exponential searches
     tick it at their loop heads and raise {!Resource.Budget.Exhausted}
@@ -11,20 +11,6 @@
     [K_k] has [k − 1], and the [k × k] grid has [k]. (The paper's
     convention of reporting 1 for edgeless Gaifman graphs is applied at the
     generalised-t-graph layer, not here.) *)
-
-val exact : ?budget:Resource.Budget.t -> ?limit:int -> Ugraph.t -> int option
-(** Exact treewidth by dynamic programming over vertex subsets,
-    [O(2^n · n^2)] time and [O(2^n)] space. Returns [None] when
-    [Ugraph.n g > limit] (default 20). *)
-
-val exact_branch_and_bound :
-  ?budget:Resource.Budget.t -> ?limit:int -> Ugraph.t -> int option
-(** Exact treewidth by branch and bound over elimination orderings, with
-    min-fill initialisation, simplicial-vertex elimination and memoisation
-    on the set of remaining vertices. An independent implementation used
-    to cross-validate {!exact} (tested to agree); often faster on sparse
-    graphs, worse on dense ones. [None] when [Ugraph.n g > limit]
-    (default 26). *)
 
 val min_fill_order : ?budget:Resource.Budget.t -> Ugraph.t -> int list * int
 (** Min-fill elimination heuristic: the ordering and its width (an upper
@@ -39,6 +25,14 @@ val lower_bound : ?budget:Resource.Budget.t -> Ugraph.t -> int
 val upper_bound : ?budget:Resource.Budget.t -> Ugraph.t -> int
 (** The better of the two elimination heuristics. *)
 
+val exact : ?budget:Resource.Budget.t -> ?limit:int -> Ugraph.t -> int option
+(** Exact treewidth by branch and bound over elimination orderings
+    (after Gogate & Dechter's QuickBB): the better heuristic order is the
+    initial bound, simplicial vertices are eliminated without branching,
+    and sets of remaining vertices are memoised. Worst case exponential
+    in [n]; fast on dense graphs, slowest on sparse ones. Returns [None]
+    when [Ugraph.n g > limit] (default 20). *)
+
 val treewidth : ?budget:Resource.Budget.t -> ?exact_limit:int -> Ugraph.t -> int
 (** Exact when [n ≤ exact_limit] (default 20); otherwise the heuristic
     upper bound. All query-derived graphs in this project are small enough
@@ -49,5 +43,8 @@ val is_at_most : ?budget:Resource.Budget.t -> Ugraph.t -> int -> bool
     the exact computation. *)
 
 val decomposition : ?budget:Resource.Budget.t -> Ugraph.t -> Tree_decomposition.t
-(** A tree decomposition witnessing [treewidth g] when the exact path was
-    taken (min-fill width otherwise). *)
+(** A tree decomposition of width exactly [treewidth g]: built from the
+    optimal elimination order the branch and bound finds, so always
+    optimal within the exact limit of 20 vertices; beyond it, from the
+    better heuristic order, whose width is the upper bound [treewidth]
+    returns there. *)

@@ -17,8 +17,8 @@
     - [Starve] — the request's budget is replaced by a near-empty one:
       [408] with the tripping phase.
     - [Poison] — the plan-cache entry compiled for this request is
-      poisoned: [500], and the entry is evicted so the next identical
-      query recompiles cleanly. *)
+      poisoned: [500] for this request alone, and the entry is evicted
+      so the next identical query recompiles cleanly. *)
 
 type kind = Disconnect | Slow | Malformed | Starve | Poison
 

@@ -52,7 +52,6 @@ type plan_entry = {
   first_query : string;
       (* raw text of the query that built the entry: a later hit with
          different text is a cross-query canonical hit, counted apart *)
-  mutable poisoned : bool;  (* fault injection: next use fails + evicts *)
   mutable last_used : int;  (* LRU stamp *)
 }
 
@@ -309,7 +308,7 @@ let plan_entry_for t ~graph ~budget query =
       Atomic.incr t.plans_compiled;
       let fresh =
         { plan; head_vars; lock = Mutex.create (); first_query = query;
-          poisoned = false; last_used = stamp () }
+          last_used = stamp () }
       in
       Mutex.lock t.plans_lock;
       match Hashtbl.find_opt t.plans key with
@@ -516,15 +515,17 @@ let handle_sparql t conn ~deadline ~idx ~fault req =
            the same store even if a reload lands mid-request *)
         let graph = Atomic.get t.graph in
         let key, entry, canon = plan_entry_for t ~graph ~budget query in
-        if fault = Some Faults.Poison then entry.poisoned <- true;
+        (* The fault belongs to this request, not to the shared entry:
+           requests already holding the entry finish on it, and the
+           eviction makes the next identical query recompile. *)
+        if fault = Some Faults.Poison then begin
+          evict_entry t key;
+          E.fail (E.Internal "poisoned plan-cache entry (injected)")
+        end;
         Mutex.lock entry.lock;
         Fun.protect
           ~finally:(fun () -> Mutex.unlock entry.lock)
           (fun () ->
-            if entry.poisoned then begin
-              evict_entry t key;
-              E.fail (E.Internal "poisoned plan-cache entry (injected)")
-            end;
             let answers =
               Engine.solutions ~budget entry.plan graph
             in

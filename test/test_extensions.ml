@@ -1,6 +1,6 @@
 (* Tests for the extension layer: ablation knobs, dictionary encoding,
    OPT normal form, mapping subsumption, containment, the optimised
-   enumerator, the engine facade, and the second treewidth algorithm. *)
+   enumerator, the engine facade, and the treewidth oracle. *)
 
 open Rdf
 
@@ -423,25 +423,24 @@ let test_engine () =
     reference
 
 (* ------------------------------------------------------------------ *)
-(* Second treewidth algorithm                                          *)
+(* Treewidth: the branch and bound against the subset-DP oracle        *)
 (* ------------------------------------------------------------------ *)
 
 let bb_agrees_with_dp =
   qcheck ~count:80 "branch-and-bound treewidth = DP treewidth"
-    Testutil.small_ugraph (fun g ->
-      Graphtheory.Treewidth.exact_branch_and_bound g
-      = Graphtheory.Treewidth.exact g)
+    (Testutil.sized_ugraph ~lo:8 ~hi:14) (fun g ->
+      Some (Graphtheory.Treewidth.treewidth g) = Testutil.treewidth_dp g)
 
 let test_bb_known () =
   let open Graphtheory in
   check Alcotest.(option int) "K6" (Some 5)
-    (Treewidth.exact_branch_and_bound (Ugraph.complete 6));
+    (Treewidth.exact (Ugraph.complete 6));
   check Alcotest.(option int) "grid 4x4" (Some 4)
-    (Treewidth.exact_branch_and_bound (Ugraph.grid_graph ~rows:4 ~cols:4));
+    (Treewidth.exact (Ugraph.grid_graph ~rows:4 ~cols:4));
   check Alcotest.(option int) "empty" (Some (-1))
-    (Treewidth.exact_branch_and_bound (Ugraph.make ~n:0 ~edges:[]));
+    (Treewidth.exact (Ugraph.make ~n:0 ~edges:[]));
   check Alcotest.(option int) "over limit" None
-    (Treewidth.exact_branch_and_bound ~limit:3 (Ugraph.complete 5))
+    (Treewidth.exact ~limit:3 (Ugraph.complete 5))
 
 let () =
   Alcotest.run "extensions"

@@ -116,6 +116,15 @@ let decomposition_law =
       | Ok () -> Tree_decomposition.width d >= Treewidth.treewidth g
       | Error _ -> false)
 
+(* The decomposition must attain the treewidth, not only bound it, also
+   at sizes where a min-fill order can be wider. *)
+let optimal_decomposition_law =
+  qcheck ~count:100 "decomposition width = treewidth (n = 10-16)"
+    (Testutil.sized_ugraph ~lo:10 ~hi:16) (fun g ->
+      let d = Treewidth.decomposition g in
+      Tree_decomposition.verify g d = Ok ()
+      && Tree_decomposition.width d = Treewidth.treewidth g)
+
 let minfill_decomposition_law =
   qcheck ~count:60 "min-fill ordering induces a valid decomposition"
     Testutil.small_ugraph (fun g ->
@@ -244,6 +253,7 @@ let () =
           Alcotest.test_case "is_at_most" `Quick test_is_at_most;
           bounds_law;
           decomposition_law;
+          optimal_decomposition_law;
           minfill_decomposition_law;
         ] );
       ( "tree decomposition",

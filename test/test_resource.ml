@@ -223,11 +223,11 @@ let star_forest children = Wdpt.Pattern_forest.of_algebra (star_pattern children
 
 let test_treewidth_exact () =
   exhausts (fun () ->
-      Graphtheory.Treewidth.exact ~budget:(tiny ()) ~limit:20 dense_graph)
+      Graphtheory.Treewidth.treewidth ~budget:(tiny ()) dense_graph)
 
 let test_treewidth_bb () =
   exhausts (fun () ->
-      Graphtheory.Treewidth.exact_branch_and_bound ~budget:(tiny ()) dense_graph)
+      Graphtheory.Treewidth.exact ~budget:(tiny ()) dense_graph)
 
 let test_hom_fold () =
   let source = Workload.Query_families.kk 4 [ "a"; "b"; "c"; "d" ] in

@@ -566,6 +566,73 @@ let test_head_vars_survive_pruning () =
         (head_vars
            "{ ?x p:knows ?y OPTIONAL { ?x p:email ?z FILTER (?z != ?z) } }"))
 
+(* A poisoned request must fail alone. Request 1 evaluates a slow query
+   under the plan entry's lock; requests 2 (healthy) and 3 (poisoned by
+   the schedule) arrive for the same plan key while it runs, so both hold
+   the shared entry when the poison lands. Only request 3 may answer
+   500. *)
+let test_poison_spares_concurrent_requests () =
+  let slow =
+    Sparql.Printer.to_string
+      (Wdpt.Pattern_forest.to_algebra [ Workload.Query_families.clique_child 5 ])
+  in
+  let graph, _ = Workload.Graph_families.planted_instance ~seed:1 ~n:24 ~k:3 in
+  let t =
+    Server.start
+      {
+        (smoke_config ()) with
+        Server.graph = graph;
+        workers = 3;
+        io_timeout = 30.;
+        faults = Result.get_ok (Faults.parse "poison:3");
+        admission =
+          {
+            Admission.request_fuel = max_int / 2;
+            request_timeout = 60.;
+            max_solutions = None;
+            global_fuel = None;
+            refill_rate = 0.;
+            max_inflight = 4;
+          };
+      }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.initiate_drain t;
+      ignore (Server.join t))
+    (fun () ->
+      let port = Server.port t in
+      let in_thread f =
+        let result = ref None in
+        let th = Thread.create (fun () -> result := Some (f ())) () in
+        fun () ->
+          Thread.join th;
+          Option.get !result
+      in
+      let timed () =
+        let status = response_status (post_query ~port slow) in
+        (status, Unix.gettimeofday ())
+      in
+      (* the pauses only fix the accept order, hence the fault index *)
+      let first = in_thread timed in
+      Thread.delay 0.05;
+      let second = in_thread timed in
+      Thread.delay 0.05;
+      let sent_third = Unix.gettimeofday () in
+      let third, _ = timed () in
+      let first, first_done = first () in
+      let second, _ = second () in
+      check Alcotest.bool "requests 2 and 3 arrived while 1 ran" true
+        (sent_third < first_done);
+      check Alcotest.int "request 1 is 200" 200 first;
+      check Alcotest.int "healthy request on the poisoned key is 200" 200
+        second;
+      check Alcotest.int "poisoned request is 500" 500 third;
+      let plans = Json.member "plan_cache" (Server.stats_json t) in
+      check Alcotest.(option int) "the poisoned entry was evicted" (Some 1)
+        (Option.bind plans (Json.member "entry_evictions")
+        |> Fun.flip Option.bind Json.to_int))
+
 let () =
   Alcotest.run "server"
     [
@@ -605,5 +672,7 @@ let () =
           Alcotest.test_case "serve, shed, reject, drain" `Quick test_smoke;
           Alcotest.test_case "reload picks up appended segments" `Quick
             test_reload_picks_up_segments;
+          Alcotest.test_case "poison fails only its own request" `Quick
+            test_poison_spares_concurrent_requests;
         ] );
     ]

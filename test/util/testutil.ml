@@ -113,6 +113,96 @@ let small_ugraph =
     ~print:(fun g -> Fmt.str "%a" Graphtheory.Ugraph.pp g)
     QCheck.Gen.(map ugraph_of_seed seed_gen)
 
+(* Random graphs on [lo]..[hi] vertices. *)
+let sized_ugraph ~lo ~hi =
+  QCheck.make
+    ~print:(fun g -> Fmt.str "%a" Graphtheory.Ugraph.pp g)
+    QCheck.Gen.(
+      map2 (fun n seed -> ugraph_of_seed ~n seed) (int_range lo hi) seed_gen)
+
+(* ------------------------------------------------------------------ *)
+(* Treewidth oracle: the O(2^n) dynamic programme of Bodlaender et al.
+   f(S) = min over v in S of max (f(S \ {v}), q(S \ {v}, v)) where
+   q(S, v) counts vertices outside S ∪ {v} reachable from v through S.
+   f(V) is the treewidth. Sets are int bitmasks. Test-only: production
+   treewidth is the branch and bound in [Graphtheory.Treewidth], an
+   independent algorithm this one cross-checks.                        *)
+(* ------------------------------------------------------------------ *)
+
+module ISet = Graphtheory.Ugraph.ISet
+module Budget = Resource.Budget
+
+let adjacency_masks g =
+  let n = Graphtheory.Ugraph.n g in
+  Array.init n (fun v ->
+      ISet.fold (fun u acc -> acc lor (1 lsl u)) (Graphtheory.Ugraph.adj g v) 0)
+
+(* Reachable-through-S closure from v: expand adj within S to fixpoint. *)
+let q_count adj full v s =
+  let rec grow reached =
+    let frontier = reached land s in
+    let expanded =
+      let acc = ref reached in
+      let rest = ref frontier in
+      while !rest <> 0 do
+        let u = !rest land - !rest in
+        let i =
+          (* index of lowest set bit *)
+          let rec bit k m = if m land 1 = 1 then k else bit (k + 1) (m lsr 1) in
+          bit 0 u
+        in
+        acc := !acc lor adj.(i);
+        rest := !rest land lnot u
+      done;
+      !acc
+    in
+    if expanded = reached then reached else grow expanded
+  in
+  let reached = grow adj.(v) in
+  let outside = reached land lnot s land lnot (1 lsl v) land full in
+  let rec popcount m = if m = 0 then 0 else 1 + popcount (m land (m - 1)) in
+  popcount outside
+
+let treewidth_dp ?(budget = Budget.unlimited) ?(limit = 20) g =
+  let n = Graphtheory.Ugraph.n g in
+  if n > limit then None
+  else if n = 0 then Some (-1)
+  else
+    Budget.with_phase budget "treewidth" @@ fun () ->
+    begin
+    let adj = adjacency_masks g in
+    let full = (1 lsl n) - 1 in
+    let size = 1 lsl n in
+    let f = Bytes.make size '\255' in
+    (* f(∅) = -1 encoded as 255 → interpreted as -1 below. *)
+    let get s =
+      let b = Char.code (Bytes.get f s) in
+      if b = 255 then -1 else b
+    in
+    let set s v = Bytes.set f s (Char.chr (if v < 0 then 255 else v)) in
+    set 0 (-1);
+    (* iterate subsets in increasing order: s-1 ⊂ relevant already done
+       because removing a bit yields a smaller integer. *)
+    for s = 1 to full do
+      Budget.tick budget;
+      let best = ref max_int in
+      let rest = ref s in
+      while !rest <> 0 do
+        let bit = !rest land - !rest in
+        let v =
+          let rec idx k m = if m land 1 = 1 then k else idx (k + 1) (m lsr 1) in
+          idx 0 bit
+        in
+        let s' = s land lnot bit in
+        let candidate = max (get s') (q_count adj full v s') in
+        if candidate < !best then best := candidate;
+        rest := !rest land lnot bit
+      done;
+      set s !best
+    done;
+    Some (get full)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Alcotest testables.                                                 *)
 (* ------------------------------------------------------------------ *)
