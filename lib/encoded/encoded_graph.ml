@@ -33,17 +33,15 @@ type stats_seed = {
   seed_predicate : int -> predicate_stats option;
 }
 
-(* The three permutations of one flat (non-sharded) store. *)
-type arrays = { a_spo : cells; a_pos : cells; a_osp : cells }
-
 type t = {
   identity : int;
       (* heap stores: the source graph's positive Graph.epoch; mapped
-         stores: the negative content-stamp identity (for a shard set,
-         of the manifest stamp folding the member stamps) — either way,
-         what every cross-evaluation cache keys on *)
+         stores: the negative content-stamp identity — either way, what
+         every cross-evaluation cache keys on *)
   dict : Rdf.Dictionary.t;
-  rep : rep;
+  a_spo : cells;
+  a_pos : cells;
+  a_osp : cells;
   seed : stats_seed option;
   (* Planner statistics, derived lazily from the sorted arrays above and
      memoized on the store (stores are immutable, so once computed a
@@ -54,30 +52,6 @@ type t = {
   mutable object_count : int;
   mutable predicate_count : int;
 }
-
-and rep =
-  | Flat of arrays
-  | Union of union_info
-      (* a shard set: member stores split by predicate, loaded lazily —
-         a query bound on a predicate touches only that predicate's
-         member *)
-
-and union_info = {
-  u_members : member array;  (* indexed by slice *)
-  u_owner : int -> int;  (* predicate id -> owning member index *)
-  u_total : int;  (* live triples across all members *)
-  u_lock : Mutex.t;
-      (* guards member forcing, the touched flags and [u_merged]: the
-         server's worker threads route queries over one shard set
-         concurrently, and OCaml [Lazy] is not safe to force from two
-         threads at once *)
-  mutable u_merged : arrays option;
-      (* globally sorted permutations, materialized only if something
-         needs positional access across the whole set (the writer,
-         term-level decode) — never on the routed query path *)
-}
-
-and member = { m_store : t Lazy.t; mutable m_touched : bool }
 
 let rot_spo (s, p, o) = (s, p, o)
 let rot_pos (s, p, o) = (p, o, s)
@@ -96,13 +70,9 @@ let of_graph graph =
   {
     identity = Rdf.Graph.epoch graph;
     dict;
-    rep =
-      Flat
-        {
-          a_spo = Heap (sorted_by rot_spo triples);
-          a_pos = Heap (sorted_by rot_pos triples);
-          a_osp = Heap (sorted_by rot_osp triples);
-        };
+    a_spo = Heap (sorted_by rot_spo triples);
+    a_pos = Heap (sorted_by rot_pos triples);
+    a_osp = Heap (sorted_by rot_osp triples);
     seed = None;
     pstats = Hashtbl.create 16;
     subject_count = -1;
@@ -116,31 +86,9 @@ let of_views ~identity ~dict ~spo ~pos ~osp ?stats () =
   {
     identity;
     dict;
-    rep = Flat { a_spo = View spo; a_pos = View pos; a_osp = View osp };
-    seed = stats;
-    pstats = Hashtbl.create 16;
-    subject_count = -1;
-    object_count = -1;
-    predicate_count = -1;
-  }
-
-let union ~identity ~dict ~members ~owner ~total ?stats () =
-  if total < 0 then invalid_arg "Encoded_graph.union: negative total";
-  if Array.length members = 0 then
-    invalid_arg "Encoded_graph.union: no members";
-  {
-    identity;
-    dict;
-    rep =
-      Union
-        {
-          u_members =
-            Array.map (fun m -> { m_store = m; m_touched = false }) members;
-          u_owner = owner;
-          u_total = total;
-          u_lock = Mutex.create ();
-          u_merged = None;
-        };
+    a_spo = View spo;
+    a_pos = View pos;
+    a_osp = View osp;
     seed = stats;
     pstats = Hashtbl.create 16;
     subject_count = -1;
@@ -221,69 +169,10 @@ let of_graph_cached graph =
 let epoch t = t.identity
 let dictionary t = t.dict
 
-(* Force one member (clamping a wild owner index to member 0, whose
-   ranges for a foreign predicate are simply empty) and record the touch
-   for the lazy-mapping ablation. *)
-let force_member u k =
-  let k = if k < 0 || k >= Array.length u.u_members then 0 else k in
-  Mutex.protect u.u_lock (fun () ->
-      let m = u.u_members.(k) in
-      m.m_touched <- true;
-      Lazy.force m.m_store)
-
-let cardinal t =
-  match t.rep with Flat a -> clen a.a_spo | Union u -> u.u_total
-
-(* The globally sorted permutations of a store. For a flat store these
-   are its arrays; for a shard set they are a one-shot k-way merge over
-   the members, materialized under the union lock — only positional
-   access ([nth_*]: the writer, term-level decode, tests) pays for it,
-   the routed query path never does. *)
-let rec arrays t =
-  match t.rep with
-  | Flat a -> a
-  | Union u ->
-      Mutex.protect u.u_lock (fun () ->
-          match u.u_merged with
-          | Some a -> a
-          | None ->
-              let all = Array.make u.u_total (0, 0, 0) in
-              let w = ref 0 in
-              Array.iter
-                (fun m ->
-                  m.m_touched <- true;
-                  let mt = Lazy.force m.m_store in
-                  let ma = arrays mt in
-                  for i = 0 to clen ma.a_spo - 1 do
-                    all.(!w) <- cget ma.a_spo i;
-                    incr w
-                  done)
-                u.u_members;
-              if !w <> u.u_total then
-                invalid_arg
-                  "Encoded_graph: shard members disagree with union total";
-              let by rot a b = compare (rot a) (rot b) in
-              let pos = Array.copy all and osp = Array.copy all in
-              Array.sort (by rot_spo) all;
-              Array.sort (by rot_pos) pos;
-              Array.sort (by rot_osp) osp;
-              let a = { a_spo = Heap all; a_pos = Heap pos; a_osp = Heap osp } in
-              u.u_merged <- Some a;
-              a)
-
-let nth_spo t i = cget (arrays t).a_spo i
-let nth_pos t i = cget (arrays t).a_pos i
-let nth_osp t i = cget (arrays t).a_osp i
-
-let members_touched t =
-  match t.rep with
-  | Flat _ -> None
-  | Union u ->
-      Some
-        (Mutex.protect u.u_lock (fun () ->
-             Array.fold_left
-               (fun n m -> if m.m_touched then n + 1 else n)
-               0 u.u_members))
+let cardinal t = clen t.a_spo
+let nth_spo t i = cget t.a_spo i
+let nth_pos t i = cget t.a_pos i
+let nth_osp t i = cget t.a_osp i
 
 (* First index whose rotated key is >= [key]. *)
 let lower_bound arr rot key =
@@ -322,72 +211,42 @@ let range arr rot k1 k2 k3 =
 (* Pick the permutation whose sort order makes the bound positions a
    prefix. (s,o)-bound must use OSP: in SPO the object would not be part
    of the prefix and the range would over-approximate. *)
-let choose a ?s ?p ?o () =
+let choose t ?s ?p ?o () =
   match s, p, o with
-  | Some s, Some p, _ -> Some (a.a_spo, rot_spo, s, Some p, o)
-  | Some s, None, Some o -> Some (a.a_osp, rot_osp, o, Some s, None)
-  | Some s, None, None -> Some (a.a_spo, rot_spo, s, None, None)
-  | None, Some p, _ -> Some (a.a_pos, rot_pos, p, o, None)
-  | None, None, Some o -> Some (a.a_osp, rot_osp, o, None, None)
+  | Some s, Some p, _ -> Some (t.a_spo, rot_spo, s, Some p, o)
+  | Some s, None, Some o -> Some (t.a_osp, rot_osp, o, Some s, None)
+  | Some s, None, None -> Some (t.a_spo, rot_spo, s, None, None)
+  | None, Some p, _ -> Some (t.a_pos, rot_pos, p, o, None)
+  | None, None, Some o -> Some (t.a_osp, rot_osp, o, None, None)
   | None, None, None -> None
 
-(* Query entry points: a flat store binary-searches its own arrays; a
-   shard set routes predicate-bound patterns to the owning member (the
-   only one whose pages the probe faults in) and fans predicate-free
-   patterns out over every member. *)
+let mem t (s, p, o) =
+  let start, stop = range t.a_spo rot_spo s (Some p) (Some o) in
+  stop > start
 
-let rec mem t (s, p, o) =
-  match t.rep with
-  | Union u -> mem (force_member u (u.u_owner p)) (s, p, o)
-  | Flat a ->
-      let start, stop = range a.a_spo rot_spo s (Some p) (Some o) in
-      stop > start
-
-let rec iter_matching t ?s ?p ?o ~f () =
-  match t.rep with
-  | Union u -> (
-      match p with
-      | Some pid -> iter_matching (force_member u (u.u_owner pid)) ?s ~p:pid ?o ~f ()
-      | None ->
-          Array.iteri
-            (fun k _ -> iter_matching (force_member u k) ?s ?o ~f ())
-            u.u_members)
-  | Flat a -> (
-      match choose a ?s ?p ?o () with
-      | None ->
-          for i = 0 to clen a.a_spo - 1 do
-            f (cget a.a_spo i)
-          done
-      | Some (arr, rot, k1, k2, k3) ->
-          let start, stop = range arr rot k1 k2 k3 in
-          for i = start to stop - 1 do
-            f (cget arr i)
-          done)
+let iter_matching t ?s ?p ?o ~f () =
+  match choose t ?s ?p ?o () with
+  | None ->
+      for i = 0 to clen t.a_spo - 1 do
+        f (cget t.a_spo i)
+      done
+  | Some (arr, rot, k1, k2, k3) ->
+      let start, stop = range arr rot k1 k2 k3 in
+      for i = start to stop - 1 do
+        f (cget arr i)
+      done
 
 let matching t ?s ?p ?o () =
   let acc = ref [] in
   iter_matching t ?s ?p ?o ~f:(fun triple -> acc := triple :: !acc) ();
   !acc
 
-let rec match_count t ?s ?p ?o () =
-  match t.rep with
-  | Union u -> (
-      match p, s, o with
-      | Some pid, _, _ ->
-          match_count (force_member u (u.u_owner pid)) ?s ~p:pid ?o ()
-      | None, None, None -> u.u_total
-      | None, _, _ ->
-          let n = ref 0 in
-          Array.iteri
-            (fun k _ -> n := !n + match_count (force_member u k) ?s ?o ())
-            u.u_members;
-          !n)
-  | Flat a -> (
-      match choose a ?s ?p ?o () with
-      | None -> clen a.a_spo
-      | Some (arr, rot, k1, k2, k3) ->
-          let start, stop = range arr rot k1 k2 k3 in
-          stop - start)
+let match_count t ?s ?p ?o () =
+  match choose t ?s ?p ?o () with
+  | None -> clen t.a_spo
+  | Some (arr, rot, k1, k2, k3) ->
+      let start, stop = range arr rot k1 k2 k3 in
+      stop - start
 
 (* ------------------------------------------------------------------ *)
 (* Planner statistics                                                  *)
@@ -424,39 +283,29 @@ let count_distinct_unsorted proj arr start stop =
     col;
   !n
 
-let rec predicate_stats t p =
+let predicate_stats t p =
   match Hashtbl.find_opt t.pstats p with
   | Some s -> s
   | None ->
+      let seeded =
+        match t.seed with None -> None | Some seed -> seed.seed_predicate p
+      in
       let s =
-        match t.rep with
-        | Union u ->
-            (* the owning member holds every triple of this predicate,
-               so its row (or scan) is exact for the whole set *)
-            predicate_stats (force_member u (u.u_owner p)) p
-        | Flat a -> (
-            let seeded =
-              match t.seed with
-              | None -> None
-              | Some seed -> seed.seed_predicate p
-            in
-            match seeded with
-            | Some s -> s
-            | None ->
-                (* a_pos stores raw (s, p, o) tuples sorted by (p, o, s):
-                   the predicate's triples are one contiguous block,
-                   within which distinct objects are runs of the o
-                   column; distinct subjects need a sort of the s
-                   column. *)
-                let start, stop = range a.a_pos rot_pos p None None in
-                {
-                  triples = stop - start;
-                  distinct_objects =
-                    count_runs (fun (_, _, o) -> o) a.a_pos start stop;
-                  distinct_subjects =
-                    count_distinct_unsorted (fun (s, _, _) -> s) a.a_pos start
-                      stop;
-                })
+        match seeded with
+        | Some s -> s
+        | None ->
+            (* a_pos stores raw (s, p, o) tuples sorted by (p, o, s): the
+               predicate's triples are one contiguous block, within which
+               distinct objects are runs of the o column; distinct
+               subjects need a sort of the s column. *)
+            let start, stop = range t.a_pos rot_pos p None None in
+            {
+              triples = stop - start;
+              distinct_objects =
+                count_runs (fun (_, _, o) -> o) t.a_pos start stop;
+              distinct_subjects =
+                count_distinct_unsorted (fun (s, _, _) -> s) t.a_pos start stop;
+            }
       in
       Hashtbl.replace t.pstats p s;
       s
@@ -466,9 +315,7 @@ let distinct_subjects t =
     t.subject_count <-
       (match t.seed with
       | Some { seed_subjects = Some n; _ } -> n
-      | _ ->
-          let a = arrays t in
-          count_runs (fun (s, _, _) -> s) a.a_spo 0 (clen a.a_spo));
+      | _ -> count_runs (fun (s, _, _) -> s) t.a_spo 0 (clen t.a_spo));
   t.subject_count
 
 let distinct_objects t =
@@ -478,8 +325,7 @@ let distinct_objects t =
       | Some { seed_objects = Some n; _ } -> n
       | _ ->
           (* a_osp is sorted by (o, s, p), so o runs are contiguous *)
-          let a = arrays t in
-          count_runs (fun (_, _, o) -> o) a.a_osp 0 (clen a.a_osp));
+          count_runs (fun (_, _, o) -> o) t.a_osp 0 (clen t.a_osp));
   t.object_count
 
 let distinct_predicates t =
@@ -487,7 +333,5 @@ let distinct_predicates t =
     t.predicate_count <-
       (match t.seed with
       | Some { seed_predicates = Some n; _ } -> n
-      | _ ->
-          let a = arrays t in
-          count_runs (fun (_, p, _) -> p) a.a_pos 0 (clen a.a_pos));
+      | _ -> count_runs (fun (_, p, _) -> p) t.a_pos 0 (clen t.a_pos));
   t.predicate_count

@@ -50,32 +50,6 @@ val of_views :
     multiset sorted by (s,p,o), (p,o,s) and (o,s,p) keys respectively;
     raises [Invalid_argument] if their lengths disagree. *)
 
-val union :
-  identity:int ->
-  dict:Rdf.Dictionary.t ->
-  members:t Lazy.t array ->
-  owner:(int -> int) ->
-  total:int ->
-  ?stats:stats_seed -> unit -> t
-(** A sharded store: the union of [members], which must partition the
-    triple set {e by predicate} — every triple of a given predicate id
-    [p] lives in member [owner p] (an index into [members], clamped to
-    member 0 if out of range). [dict] is the shared dictionary (every
-    member of a shard set carries the full term table, so ids are
-    global). [total] is the live triple count across all members.
-
-    Members are forced lazily: a predicate-bound lookup touches only the
-    owning member (so only that member's pages fault in), a
-    predicate-free pattern fans out over all members, and positional
-    access ([nth_*]) materializes a one-shot k-way merge. Safe to share
-    across the server's worker threads — member forcing and the merge
-    are serialized on an internal lock. *)
-
-val members_touched : t -> int option
-(** [Some n] for a {!union} store: how many member stores have been
-    forced so far (the lazy-mapping ablation counter). [None] for flat
-    stores. *)
-
 val register : t -> unit
 (** Pin a store into the {!of_graph_cached} resolution table under its
     {!epoch} identity, outside the MRU churn: a {!Rdf.Graph.deferred}

@@ -23,9 +23,6 @@ type store_fault =
       (** a delta segment whose recorded parent stamp does not match the
           chain it sits on — the base was rewritten (or a [compact] was
           interrupted) under the segment *)
-  | Manifest_mismatch of { member : string }
-      (** a shard member store is missing or no longer matches the stamp
-          pinned in the manifest *)
 
 type t =
   | Parse_error of { source : string; line : int; col : int; msg : string }

@@ -43,6 +43,10 @@ let eval ?(budget = Budget.unlimited) p graph =
     | Algebra.Select (vars, q) ->
         Mapping.Set.map (Mapping.restrict vars) (go q)
   in
-  go p
+  (* Only the final set is the answer: the solution cap counts it, never
+     the intermediate sets the recursion materialises. *)
+  let answers = go p in
+  Mapping.Set.iter (fun _ -> Budget.solution budget) answers;
+  answers
 
 let check ?budget p graph mu = Mapping.Set.mem mu (eval ?budget p graph)

@@ -7,7 +7,9 @@
 open Rdf
 
 val eval : ?budget:Resource.Budget.t -> Algebra.t -> Graph.t -> Mapping.Set.t
-(** [⟦P⟧G]. *)
+(** [⟦P⟧G]. Every answer of the final set counts against the budget's
+    solution cap ({!Resource.Budget.solution}, phase ["reference-eval"]);
+    the intermediate sets of subpatterns do not. *)
 
 val check :
   ?budget:Resource.Budget.t -> Algebra.t -> Graph.t -> Mapping.t -> bool

@@ -2,16 +2,14 @@
    mmap reader. This module owns every byte-layout and mapping concern;
    the rest of the codebase sees the result only through the closure
    views of [Rdf.Dictionary.of_view] and [Encoded.Encoded_graph.of_views]
-   / [union] — a lint rule (tools/lint) keeps [Unix.map_file]/[Bigarray]
-   confined here.
+   — a lint rule (tools/lint) keeps [Unix.map_file]/[Bigarray] confined
+   here.
 
-   Format v2 adds two multi-file shapes around the v1 base layout
-   (which is unchanged byte for byte):
-   - delta segments [<base>.d1, .d2, ...]: append-only add/delete logs
-     with their own dictionary-growth block, chained by parent stamp
-     and merged at load through [Overlay] into the same flat views;
-   - a shard manifest naming member stores split by predicate hash
-     slice, loaded as a lazily-forced [Encoded_graph.union]. *)
+   Format v2 adds delta segments [<base>.d1, .d2, ...] around the v1
+   base layout (which is unchanged byte for byte): append-only
+   add/delete logs with their own dictionary-growth block, chained by
+   parent stamp and merged at load through [Overlay] into the same flat
+   views. *)
 
 module E = Encoded.Encoded_graph
 module Err = Wdsparql_error
@@ -19,6 +17,10 @@ module A1 = Bigarray.Array1
 
 let magic = "WDSTORE1"
 let delta_magic = "WDSDELT1"
+
+(* The magic of the retired shard-manifest layout: still recognised, so
+   an old manifest is refused with a message naming the fix instead of
+   a bare "not a compiled store". *)
 let manifest_magic = "WDSMANI1"
 let format_version = 2
 let header_size = 256
@@ -60,17 +62,6 @@ let soff_parent_terms = 64
 let soff_table = 72
 let seg_section_count = 4
 
-(* Manifest header word offsets. One section: the member table. *)
-let moff_members = 24
-let moff_slices = 32
-let moff_stamp = 40
-let moff_triples = 48
-let moff_terms = 56
-let moff_distinct_s = 64
-let moff_distinct_o = 72
-let moff_distinct_p = 80
-let moff_table = 88
-
 let fail path fault msg = Err.fail (Err.Store_error { path; fault; msg })
 
 (* ------------------------------------------------------------------ *)
@@ -92,9 +83,7 @@ let identity_of_stamp stamp = -1 - stamp
 
 (* The chain stamp after applying one segment: fold the parent chain
    stamp and the segment's payload stamp. Associating left over the
-   chain gives every (base, segment list) prefix a distinct identity,
-   and a shard manifest folds member stamps the same way (its payload
-   contains them), so composed identities compose. *)
+   chain gives every (base, segment list) prefix a distinct identity. *)
 let fold_stamp chain seg =
   let b = Bytes.create 16 in
   Bytes.set_int64_le b 0 (Int64.of_int chain);
@@ -276,6 +265,13 @@ let save enc path =
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let prefixes_a_magic have =
+  List.exists
+    (fun m ->
+      String.length have <= String.length m
+      && String.equal (String.sub m 0 (String.length have)) have)
+    [ magic; delta_magic; manifest_magic ]
+
 (* A file shorter than the magic itself is [Truncated] only when the
    bytes present are a prefix of one of the family magics — a real
    store cut off mid-write; anything else was never a store at all
@@ -283,17 +279,17 @@ let save enc path =
 let read_magic path ic ~size ~expected =
   let mlen = String.length expected in
   if size < mlen then begin
-    let have = really_input_string ic size in
-    let is_prefix m =
-      String.length m >= size && String.equal (String.sub m 0 size) have
-    in
-    if List.exists is_prefix [ magic; delta_magic; manifest_magic ] then
+    if prefixes_a_magic (really_input_string ic size) then
       fail path Err.Truncated "file shorter than the store magic"
     else fail path Err.Bad_magic "not a compiled store"
   end
   else
     let found = really_input_string ic mlen in
-    if not (String.equal found expected) then
+    if String.equal found manifest_magic then
+      fail path Err.Bad_magic
+        "shard manifests were retired; load the store the manifest was \
+         made from instead"
+    else if not (String.equal found expected) then
       fail path Err.Bad_magic "not a compiled store"
 
 let check_version_bom path header =
@@ -766,7 +762,7 @@ let fold_chain h segs =
 (* Loading: base store (possibly under a segment chain)                *)
 (* ------------------------------------------------------------------ *)
 
-let load_store ?(verify = false) path =
+let load ?(verify = false) path =
   let segs = List.map (read_segment ~verify) (discover_segments path) in
   with_store path (fun h fd ->
       if verify then verify_stamp path fd h;
@@ -865,301 +861,9 @@ let load_store ?(verify = false) path =
             ~dict ~spo ~pos ~osp ~stats ())
 
 (* ------------------------------------------------------------------ *)
-(* Shard manifests                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type member_rec = {
-  mr_slice : int;
-  mr_stamp : int;
-  mr_triples : int;
-  mr_file : string;  (* relative to the manifest's directory *)
-}
-
-type man_header = {
-  mh_members : int;
-  mh_slices : int;
-  mh_stamp : int;
-  mh_triples : int;
-  mh_terms : int;
-  mh_distinct_s : int;
-  mh_distinct_o : int;
-  mh_distinct_p : int;
-  mh_table : (int * int) array;
-  mh_file_bytes : int;
-}
-
-let write_manifest path ~slices ~members ~totals =
-  let records = Buffer.create 256 in
-  List.iter
-    (fun r ->
-      add_word records r.mr_slice;
-      add_word records r.mr_stamp;
-      add_word records r.mr_triples;
-      add_word records (String.length r.mr_file);
-      Buffer.add_string records r.mr_file;
-      let pad = (8 - (String.length r.mr_file mod 8)) mod 8 in
-      Buffer.add_string records (String.make pad '\000'))
-    members;
-  let payload, table = build_sections [| records |] in
-  (* The stamp covers the member table — and with it every member's
-     stamp — so the manifest identity folds the member identities. *)
-  let stamp = fnv_string fnv_basis (Buffer.contents payload) in
-  let total_triples, n_terms, d_s, d_o, d_p = totals in
-  let header = Buffer.create header_size in
-  Buffer.add_string header manifest_magic;
-  add_word header format_version;
-  add_word header byte_order_mark;
-  add_word header (List.length members);
-  add_word header slices;
-  add_word header stamp;
-  add_word header total_triples;
-  add_word header n_terms;
-  add_word header d_s;
-  add_word header d_o;
-  add_word header d_p;
-  Array.iter
-    (fun (off, len) ->
-      add_word header off;
-      add_word header len)
-    table;
-  Buffer.add_string header
-    (String.make (header_size - Buffer.length header) '\000');
-  atomic_write path ~header ~payload;
-  stamp
-
-let read_manifest ?(verify = false) path =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg -> Err.fail (Err.Io_error { path; msg })
-  in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let size = in_channel_length ic in
-      read_magic path ic ~size ~expected:manifest_magic;
-      if size < header_size then
-        fail path Err.Truncated "incomplete manifest header";
-      let rest =
-        really_input_string ic (header_size - String.length manifest_magic)
-      in
-      let header = manifest_magic ^ rest in
-      check_version_bom path header;
-      let word off = Int64.to_int (String.get_int64_le header off) in
-      let mh =
-        {
-          mh_members = word moff_members;
-          mh_slices = word moff_slices;
-          mh_stamp = word moff_stamp;
-          mh_triples = word moff_triples;
-          mh_terms = word moff_terms;
-          mh_distinct_s = word moff_distinct_s;
-          mh_distinct_o = word moff_distinct_o;
-          mh_distinct_p = word moff_distinct_p;
-          mh_table = [| (word moff_table, word (moff_table + 8)) |];
-          mh_file_bytes = size;
-        }
-      in
-      if
-        mh.mh_members < 1 || mh.mh_slices < 1 || mh.mh_stamp < 0
-        || mh.mh_triples < 0 || mh.mh_terms < 0
-      then fail path Err.Corrupt "negative or empty count in manifest header";
-      if mh.mh_members <> mh.mh_slices then
-        fail path Err.Corrupt "manifest member count disagrees with slices";
-      (* each member record is at least four words *)
-      if mh.mh_members > size / 32 then
-        fail path Err.Truncated "file too short for the member table";
-      if
-        mh.mh_distinct_s < 0
-        || mh.mh_distinct_s > mh.mh_terms
-        || mh.mh_distinct_o < 0
-        || mh.mh_distinct_o > mh.mh_terms
-        || mh.mh_distinct_p < 0
-        || mh.mh_distinct_p > mh.mh_terms
-      then fail path Err.Corrupt "distinct-count statistics out of range";
-      validate_sections path ~size ~table:mh.mh_table ~expected:[| -1 |];
-      if verify then begin
-        seek_in ic header_size;
-        let payload = really_input_string ic (size - header_size) in
-        let stamp = fnv_string fnv_basis payload in
-        if stamp <> mh.mh_stamp then
-          fail path Err.Checksum_mismatch
-            (Printf.sprintf "payload hashes to %#x, header says %#x" stamp
-               mh.mh_stamp)
-      end;
-      let off, len = mh.mh_table.(0) in
-      seek_in ic off;
-      let table = really_input_string ic len in
-      let cursor = ref 0 in
-      let next_word () =
-        if !cursor + 8 > len then
-          fail path Err.Corrupt "manifest member table truncated";
-        let v = Int64.to_int (String.get_int64_le table !cursor) in
-        cursor := !cursor + 8;
-        v
-      in
-      let records =
-        List.init mh.mh_members (fun _ ->
-            let slice = next_word () in
-            let stamp = next_word () in
-            let triples = next_word () in
-            let plen = next_word () in
-            if plen <= 0 || plen > len - !cursor then
-              fail path Err.Corrupt "manifest member path out of range";
-            let file = String.sub table !cursor plen in
-            cursor := !cursor + plen + ((8 - (plen mod 8)) mod 8);
-            if slice < 0 || slice >= mh.mh_slices || stamp < 0 || triples < 0
-            then fail path Err.Corrupt "manifest member record out of range";
-            { mr_slice = slice; mr_stamp = stamp; mr_triples = triples;
-              mr_file = file })
-      in
-      (mh, records))
-
-(* A member must exist, carry the pinned stamp and the full dictionary,
-   and have no trailing delta segments (those would make its content
-   diverge from the stamp the manifest folded). *)
-let check_member manifest_path ~dir ~terms ~verify r =
-  let mp = Filename.concat dir r.mr_file in
-  let mismatch msg =
-    fail manifest_path (Err.Manifest_mismatch { member = r.mr_file }) msg
-  in
-  if not (Sys.file_exists mp) then mismatch "member store is missing";
-  (match discover_segments mp with
-  | [] -> ()
-  | _ -> mismatch "member store has delta segments (compact or re-shard)");
-  with_store mp (fun h fd ->
-      if h.h_stamp <> r.mr_stamp then
-        mismatch
-          (Printf.sprintf "member stamp %#x, manifest pins %#x" h.h_stamp
-             r.mr_stamp);
-      if h.h_terms <> terms then
-        mismatch "member dictionary disagrees with the manifest";
-      if h.h_triples <> r.mr_triples then
-        mismatch "member triple count disagrees with the manifest";
-      if verify then verify_stamp mp fd h;
-      h)
-
-let load_manifest ?(verify = false) path =
-  let mh, records = read_manifest ~verify path in
-  let dir = Filename.dirname path in
-  let headers =
-    List.map (fun r -> (r, check_member path ~dir ~terms:mh.mh_terms ~verify r))
-      records
-  in
-  let by_slice = Array.make mh.mh_slices None in
-  List.iter
-    (fun (r, _) ->
-      if by_slice.(r.mr_slice) <> None then
-        fail path Err.Corrupt "manifest member slices not a permutation";
-      by_slice.(r.mr_slice) <- Some r)
-    headers;
-  let slot k =
-    match by_slice.(k) with
-    | Some r -> r
-    | None -> fail path Err.Corrupt "manifest member slices not a permutation"
-  in
-  let members_sum =
-    List.fold_left (fun acc (r, _) -> acc + r.mr_triples) 0 headers
-  in
-  if members_sum <> mh.mh_triples then
-    fail path Err.Corrupt "member triple counts disagree with the manifest total";
-  let member_path k = Filename.concat dir (slot k).mr_file in
-  (* Shared dictionary: every member carries the full term table, so ids
-     are global — serve it from slice 0's sections, mapped on first
-     touch. The Dictionary wrapper serializes view calls, so the lazy
-     force is safe under concurrent server threads. *)
-  let dict_view0 =
-    lazy
-      (let mp = member_path 0 in
-       with_store mp (fun h fd ->
-           let sec k = h.h_table.(k) in
-           let map_ints k =
-             let pos, bytes = sec k in
-             map_section mp fd Bigarray.int ~pos ~bytes ~elt_bytes:8
-           in
-           let offsets =
-             match map_ints 0 with
-             | Some a -> a
-             | None -> fail mp Err.Corrupt "dictionary offsets section empty"
-           in
-           let blob =
-             let pos, bytes = sec 2 in
-             map_section mp fd Bigarray.char ~pos ~bytes ~elt_bytes:1
-           in
-           dict_view mp ~offsets ~term_sort:(map_ints 1) ~blob
-             ~blob_len:(snd (sec 2)) ~n_terms:h.h_terms))
-  in
-  let dict =
-    Rdf.Dictionary.of_view
-      {
-        Rdf.Dictionary.view_size = mh.mh_terms;
-        view_term =
-          (fun id -> (Lazy.force dict_view0).Rdf.Dictionary.view_term id);
-        view_find =
-          (fun t -> (Lazy.force dict_view0).Rdf.Dictionary.view_find t);
-      }
-  in
-  let load_member k =
-    lazy
-      (let mp = member_path k in
-       with_store mp (fun h fd ->
-           let sec i = h.h_table.(i) in
-           let map_ints i =
-             let pos, bytes = sec i in
-             map_section mp fd Bigarray.int ~pos ~bytes ~elt_bytes:8
-           in
-           E.of_views
-             ~identity:(identity_of_stamp h.h_stamp)
-             ~dict
-             ~spo:(triple_view mp (map_ints 3) h.h_triples)
-             ~pos:(triple_view mp (map_ints 4) h.h_triples)
-             ~osp:(triple_view mp (map_ints 5) h.h_triples)
-             ~stats:(stats_seed mp ~pstats:(map_ints 6) ~h)
-             ()))
-  in
-  (* Slice routing hashes the predicate's serialized bytes — identical
-     in every store that contains the term, so the route is
-     id-independent and stable across compiles. *)
-  let owner p =
-    if p < 0 || p >= mh.mh_terms then 0
-    else
-      fnv_string fnv_basis (serialize_term (Rdf.Dictionary.term_of dict p))
-      mod mh.mh_slices
-  in
-  let stats =
-    {
-      E.seed_subjects = Some mh.mh_distinct_s;
-      seed_objects = Some mh.mh_distinct_o;
-      seed_predicates = Some mh.mh_distinct_p;
-      seed_predicate = (fun _ -> None)
-      (* per-predicate rows live in the owning member; the union layer
-         routes there *);
-    }
-  in
-  E.union
-    ~identity:(identity_of_stamp mh.mh_stamp)
-    ~dict
-    ~members:(Array.init mh.mh_slices load_member)
-    ~owner ~total:mh.mh_triples ~stats ()
-
-(* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let sniff path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Err.fail (Err.Io_error { path; msg })
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let n = min (in_channel_length ic) (String.length magic) in
-          really_input_string ic n)
-
-let is_manifest path = String.equal (sniff path) manifest_magic
-
-let load ?(verify = false) path =
-  if is_manifest path then load_manifest ~verify path
-  else load_store ~verify path
 
 let load_graph ?verify path =
   let enc = load ?verify path in
@@ -1176,7 +880,7 @@ let load_graph ?verify path =
       Rdf.Index.of_triples !acc)
 
 (* ------------------------------------------------------------------ *)
-(* Append / compact / shard                                            *)
+(* Append / compact                                                    *)
 (* ------------------------------------------------------------------ *)
 
 type append_result = {
@@ -1188,13 +892,8 @@ type append_result = {
 }
 
 let append ?(adds = []) ?(dels = []) path =
-  if is_manifest path then
-    Err.fail
-      (Err.Invalid_input
-         "cannot append to a shard manifest — append to a plain store and \
-          re-shard, or query the members directly");
   let n_existing = List.length (discover_segments path) in
-  let enc = load_store path in
+  let enc = load path in
   let dict = E.dictionary enc in
   let parent_terms = Rdf.Dictionary.size dict in
   let module TS = Rdf.Triple.Set in
@@ -1260,10 +959,8 @@ let append ?(adds = []) ?(dels = []) path =
 type compact_result = { folded : int; compact_stamp : int }
 
 let compact path =
-  if is_manifest path then
-    Err.fail (Err.Invalid_input "cannot compact a shard manifest");
   let segs = discover_segments path in
-  let enc = load_store path in
+  let enc = load path in
   let dict = E.dictionary enc in
   let acc = ref [] in
   for i = E.cardinal enc - 1 downto 0 do
@@ -1283,81 +980,6 @@ let compact path =
   with_store path (fun h _ ->
       { folded = List.length segs; compact_stamp = h.h_stamp })
 
-type shard_result = {
-  sh_file : string;
-  sh_slices : int;
-  sh_stamp : int;
-  sh_members : string list;
-}
-
-let shard ?(slices = 8) ~src out =
-  if slices < 1 || slices > 4096 then
-    Err.fail (Err.Invalid_input "shard slice count must be between 1 and 4096");
-  let enc = load src in
-  let dict = E.dictionary enc in
-  let n = E.cardinal enc in
-  let slice_memo = Hashtbl.create 64 in
-  let slice_of p =
-    match Hashtbl.find_opt slice_memo p with
-    | Some k -> k
-    | None ->
-        let k =
-          fnv_string fnv_basis (serialize_term (Rdf.Dictionary.term_of dict p))
-          mod slices
-        in
-        Hashtbl.replace slice_memo p k;
-        k
-  in
-  (* Partition each permutation by the predicate's slice: filtering a
-     sorted sequence preserves its order, so members need no re-sort. *)
-  let parts nth =
-    let acc = Array.make slices [] in
-    for i = n - 1 downto 0 do
-      let s, p, o = nth enc i in
-      let k = slice_of p in
-      acc.(k) <- (s, p, o) :: acc.(k)
-    done;
-    Array.map Array.of_list acc
-  in
-  let spo = parts E.nth_spo
-  and pos = parts E.nth_pos
-  and osp = parts E.nth_osp in
-  let heap arr = { E.fn = Array.length arr; fget = (fun i -> arr.(i)) } in
-  let dir = Filename.dirname out in
-  let member_file k = Printf.sprintf "%s.s%d" (Filename.basename out) k in
-  let members =
-    List.init slices (fun k ->
-        let file = Filename.concat dir (member_file k) in
-        (* Every member carries the full dictionary (ids stay global);
-           only its index and statistics sections are slice-local. *)
-        let m =
-          E.of_views ~identity:0 ~dict ~spo:(heap spo.(k)) ~pos:(heap pos.(k))
-            ~osp:(heap osp.(k)) ()
-        in
-        save m file;
-        let stamp = with_store file (fun h _ -> h.h_stamp) in
-        {
-          mr_slice = k;
-          mr_stamp = stamp;
-          mr_triples = Array.length spo.(k);
-          mr_file = member_file k;
-        })
-  in
-  let totals =
-    ( n,
-      Rdf.Dictionary.size dict,
-      E.distinct_subjects enc,
-      E.distinct_objects enc,
-      E.distinct_predicates enc )
-  in
-  let stamp = write_manifest out ~slices ~members ~totals in
-  {
-    sh_file = out;
-    sh_slices = slices;
-    sh_stamp = stamp;
-    sh_members = List.map (fun r -> r.mr_file) members;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Info                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -1374,6 +996,9 @@ type segment_info = {
   seg_bytes : int;
 }
 
+(* [member_info] and [Sharded] describe the retired shard-manifest
+   layout. Nothing constructs them; they stay only while the traced
+   benchmark helper (perfbench/_helper/wdtrace.ml) matches [Sharded]. *)
 type member_info = {
   mem_file : string;
   mem_slice : int;
@@ -1403,95 +1028,60 @@ type info = {
 }
 
 let info ?(verify = false) path =
-  if is_manifest path then begin
-    let mh, records = read_manifest ~verify path in
-    let dir = Filename.dirname path in
-    let members =
-      List.map
-        (fun r ->
-          let h = check_member path ~dir ~terms:mh.mh_terms ~verify r in
-          {
-            mem_file = r.mr_file;
-            mem_slice = r.mr_slice;
-            mem_stamp = r.mr_stamp;
-            mem_triples = r.mr_triples;
-            mem_bytes = h.h_file_bytes;
-          })
-        records
-    in
-    {
-      version = format_version;
-      triples = mh.mh_triples;
-      base_triples = mh.mh_triples;
-      terms = mh.mh_terms;
-      predicates = mh.mh_distinct_p;
-      stamp = mh.mh_stamp;
-      chain_stamp = mh.mh_stamp;
-      identity = identity_of_stamp mh.mh_stamp;
-      file_bytes = mh.mh_file_bytes;
-      total_bytes =
-        mh.mh_file_bytes
-        + List.fold_left (fun a m -> a + m.mem_bytes) 0 members;
-      sections =
-        [ { sec_name = "member-table"; sec_bytes = snd mh.mh_table.(0) } ];
-      chain = Sharded { slices = mh.mh_slices; members };
-    }
-  end
-  else
-    let segs = List.map (read_segment ~verify) (discover_segments path) in
-    with_store path (fun h fd ->
-        if verify then verify_stamp path fd h;
-        let live, terms, chain_stamp, rev_segs =
-          List.fold_left
-            (fun (live, terms, stamp, acc) sd ->
-              let sg = sd.sd_header in
-              if sg.sg_parent <> stamp then
-                fail sd.sd_path
-                  (Err.Delta_chain_broken
-                     { expected_parent = stamp; found_parent = sg.sg_parent })
-                  "";
-              if sg.sg_parent_terms <> terms then
-                fail sd.sd_path Err.Corrupt
-                  "segment dictionary base disagrees with the chain";
-              let stamp' = fold_stamp stamp sg.sg_stamp in
-              ( live + sg.sg_adds - sg.sg_dels,
-                terms + sg.sg_new_terms,
-                stamp',
-                {
-                  seg_file = sd.sd_path;
-                  seg_adds = sg.sg_adds;
-                  seg_dels = sg.sg_dels;
-                  seg_new_terms = sg.sg_new_terms;
-                  seg_stamp = sg.sg_stamp;
-                  seg_chain_stamp = stamp';
-                  seg_bytes = sg.sg_file_bytes;
-                }
-                :: acc ))
-            (h.h_triples, h.h_terms, h.h_stamp, [])
-            segs
-        in
-        let seg_infos = List.rev rev_segs in
-        {
-          version = format_version;
-          triples = live;
-          base_triples = h.h_triples;
-          terms;
-          predicates = h.h_preds;
-          stamp = h.h_stamp;
-          chain_stamp;
-          identity = identity_of_stamp chain_stamp;
-          file_bytes = h.h_file_bytes;
-          total_bytes =
-            h.h_file_bytes
-            + List.fold_left (fun a s -> a + s.seg_bytes) 0 seg_infos;
-          sections =
-            Array.to_list
-              (Array.mapi
-                 (fun k (_, len) ->
-                   { sec_name = section_names.(k); sec_bytes = len })
-                 h.h_table);
-          chain = (match seg_infos with [] -> Single | l -> Chained l);
-        })
+  let segs = List.map (read_segment ~verify) (discover_segments path) in
+  with_store path (fun h fd ->
+      if verify then verify_stamp path fd h;
+      let live, terms, chain_stamp, rev_segs =
+        List.fold_left
+          (fun (live, terms, stamp, acc) sd ->
+            let sg = sd.sd_header in
+            if sg.sg_parent <> stamp then
+              fail sd.sd_path
+                (Err.Delta_chain_broken
+                   { expected_parent = stamp; found_parent = sg.sg_parent })
+                "";
+            if sg.sg_parent_terms <> terms then
+              fail sd.sd_path Err.Corrupt
+                "segment dictionary base disagrees with the chain";
+            let stamp' = fold_stamp stamp sg.sg_stamp in
+            ( live + sg.sg_adds - sg.sg_dels,
+              terms + sg.sg_new_terms,
+              stamp',
+              {
+                seg_file = sd.sd_path;
+                seg_adds = sg.sg_adds;
+                seg_dels = sg.sg_dels;
+                seg_new_terms = sg.sg_new_terms;
+                seg_stamp = sg.sg_stamp;
+                seg_chain_stamp = stamp';
+                seg_bytes = sg.sg_file_bytes;
+              }
+              :: acc ))
+          (h.h_triples, h.h_terms, h.h_stamp, [])
+          segs
+      in
+      let seg_infos = List.rev rev_segs in
+      {
+        version = format_version;
+        triples = live;
+        base_triples = h.h_triples;
+        terms;
+        predicates = h.h_preds;
+        stamp = h.h_stamp;
+        chain_stamp;
+        identity = identity_of_stamp chain_stamp;
+        file_bytes = h.h_file_bytes;
+        total_bytes =
+          h.h_file_bytes
+          + List.fold_left (fun a s -> a + s.seg_bytes) 0 seg_infos;
+        sections =
+          Array.to_list
+            (Array.mapi
+               (fun k (_, len) ->
+                 { sec_name = section_names.(k); sec_bytes = len })
+               h.h_table);
+        chain = (match seg_infos with [] -> Single | l -> Chained l);
+      })
 
 let looks_like_store path =
   match open_in_bin path with
@@ -1500,6 +1090,13 @@ let looks_like_store path =
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          match really_input_string ic (String.length magic) with
-          | s -> String.equal s magic || String.equal s manifest_magic
-          | exception End_of_file -> false)
+          let mlen = String.length magic in
+          match really_input_string ic (min mlen (in_channel_length ic)) with
+          | exception (Sys_error _ | End_of_file) -> false
+          | "" -> false (* an empty file is Turtle: the empty graph *)
+          | have when String.length have = mlen ->
+              String.equal have magic || String.equal have manifest_magic
+          | have ->
+              (* a store cut short: the store reader reports [Truncated],
+                 as it does under [--store] *)
+              prefixes_a_magic have)

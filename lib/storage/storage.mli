@@ -24,27 +24,19 @@
     - [pstats]: per-predicate statistics rows (pid, triples,
       distinct subjects, distinct objects), sorted by pid.
 
-    Format v2 keeps the base layout byte for byte and adds two multi-file
-    shapes around it:
-
-    - {b Delta segments} [<base>.d1, <base>.d2, ...] (magic
-      ["WDSDELT1"]): append-only add/delete logs with a dictionary-growth
-      block, each pinned to its parent by the chain stamp it extends.
-      {!load} discovers the chain and merges it over the base through
-      positional overlay views ({!Overlay}) — O(Δ log n) setup, no
-      rewrite of the base; {!append} writes one in O(Δ).
-    - {b Shard manifests} (magic ["WDSMANI1"]): a small file naming
-      member stores that partition the triples by predicate hash slice,
-      each member pinned by its content stamp. {!load} wraps them into a
-      lazily-forced union — a predicate-bound query maps only the owning
-      member.
+    Format v2 keeps the base layout byte for byte and adds {b delta
+    segments} [<base>.d1, <base>.d2, ...] (magic ["WDSDELT1"]):
+    append-only add/delete logs with a dictionary-growth block, each
+    pinned to its parent by the chain stamp it extends. {!load}
+    discovers the chain and merges it over the base through positional
+    overlay views ({!Overlay}) — O(Δ log n) setup, no rewrite of the
+    base; {!append} writes one in O(Δ).
 
     All integers are 64-bit little-endian words; the byte-order mark
     rejects a store read on a machine of the other endianness. Content
     stamps are FNV-1a hashes of the payload folded to 62 bits; the
-    identity of a chained or sharded store folds the member stamps, so
-    every distinct (base, segments) prefix and every manifest has a
-    distinct stable identity.
+    identity of a chained store folds the segment stamps, so every
+    distinct (base, segments) prefix has a distinct stable identity.
 
     {2 Failure discipline}
 
@@ -53,14 +45,16 @@
     {!Wdsparql_error.Bad_magic} by whether the bytes prefix a known
     magic), newer format version, corrupt structure, checksum mismatch, a
     segment whose parent stamp does not extend the chain
-    ({!Wdsparql_error.Delta_chain_broken}), a gap in the segment
-    numbering, or a shard member missing or disagreeing with its manifest
-    ({!Wdsparql_error.Manifest_mismatch}) — raises
+    ({!Wdsparql_error.Delta_chain_broken}), or a gap in the segment
+    numbering — raises
     {!Wdsparql_error.Store_error} with the precise fault; a corrupt store
     never surfaces as a raw [Failure], [Invalid_argument], or a crash
     inside a mapping. Validation is layered: headers, section tables and
     chain linkage eagerly at load, dictionary bytes lazily at first
-    decode, and full payloads only under [~verify:true]. *)
+    decode, and full payloads only under [~verify:true]. A manifest of
+    the retired shard layout (magic ["WDSMANI1"]) is refused with
+    {!Wdsparql_error.Bad_magic} and a message naming the fix: load the
+    store it was made from. *)
 
 type section_info = {
   sec_name : string;
@@ -77,6 +71,8 @@ type segment_info = {
   seg_bytes : int;
 }
 
+(** Describes a member of the retired shard-manifest layout. Nothing
+    constructs it; see {!chain}. *)
 type member_info = {
   mem_file : string;  (** as recorded in the manifest (relative) *)
   mem_slice : int;
@@ -89,6 +85,10 @@ type chain =
   | Single  (** a plain base store, no segments *)
   | Chained of segment_info list  (** base + delta segments, in order *)
   | Sharded of { slices : int; members : member_info list }
+      (** The retired shard-manifest layout: {!info} never returns it.
+          Kept only because the traced benchmark helper
+          ([perfbench/_helper/wdtrace.ml]) still matches it; delete it
+          with that match at the next benchmark change. *)
 
 type info = {
   version : int;
@@ -96,13 +96,13 @@ type info = {
   base_triples : int;  (** triples in the base file alone *)
   terms : int;  (** dictionary size including segment growth *)
   predicates : int;  (** distinct predicates of the base ([pstats] rows) *)
-  stamp : int;  (** the base (or manifest) file's own content stamp *)
+  stamp : int;  (** the base file's own content stamp *)
   chain_stamp : int;  (** stamp folded over the whole chain; = [stamp]
-                          for [Single] and [Sharded] *)
+                          for [Single] *)
   identity : int;  (** the negative epoch loaded handles carry;
                        [-1 - chain_stamp] *)
-  file_bytes : int;  (** the base (or manifest) file alone *)
-  total_bytes : int;  (** including segments / members *)
+  file_bytes : int;  (** the base file alone *)
+  total_bytes : int;  (** including segments *)
   sections : section_info list;
   chain : chain;
 }
@@ -113,13 +113,12 @@ val magic : string
 val format_version : int
 
 val looks_like_store : string -> bool
-(** Whether the file starts with a store or manifest magic — the cheap
-    sniff the CLI uses to accept a compiled store anywhere a Turtle file
-    is. False on any read error. *)
-
-val is_manifest : string -> bool
-(** Whether the file starts with the shard-manifest magic. Raises
-    {!Wdsparql_error.Io_error} if it cannot be opened. *)
+(** Whether the file starts with a store magic, or with the retired
+    manifest magic (so {!load} can refuse it), or is a non-empty file
+    shorter than a magic whose bytes prefix one (a store cut short, so
+    {!load} reports it [Truncated]) — the cheap sniff the CLI uses to
+    accept a compiled store anywhere a Turtle file is. False for an
+    empty file (the empty Turtle graph) and on any read error. *)
 
 val seg_path : string -> int -> string
 (** [seg_path base k] is the path of the k-th delta segment
@@ -142,8 +141,7 @@ val load : ?verify:bool -> string -> Encoded.Encoded_graph.t
     against the chain, and merged over the base through overlay views;
     planner statistics of predicates the delta touches are recomputed
     exactly from the merged views, untouched predicates keep their
-    precomputed rows. If [path] is a shard manifest, members are checked
-    against their pinned stamps and wrapped into a lazy union.
+    precomputed rows.
 
     The result's {!Encoded.Encoded_graph.epoch} is the stable negative
     identity [-1 - chain_stamp], so loading the same file (plus the same
@@ -165,8 +163,8 @@ val load_graph : ?verify:bool -> string -> Rdf.Graph.t
 val info : ?verify:bool -> string -> info
 (** Header, section and chain summary without touching the data sections
     (except under [~verify:true], which checksums every payload).
-    Validates chain linkage and shard-member pins like {!load}, but does
-    not map or decode anything. Same errors as {!load}. *)
+    Validates chain linkage like {!load}, but does not map or decode
+    anything. Same errors as {!load}. *)
 
 (** {2 Incremental updates} *)
 
@@ -188,10 +186,7 @@ val append :
     both lists nets to "present"). Returns [None] — writing nothing —
     if the normalized delta is empty. New terms are interned in
     canonical order, so the segment bytes (and the resulting chain
-    stamp) depend only on the store content and the delta.
-
-    Raises {!Wdsparql_error.Invalid_input} if [path] is a shard
-    manifest (append to the plain store and re-shard instead). *)
+    stamp) depend only on the store content and the delta. *)
 
 type compact_result = {
   folded : int;  (** segments folded into the base *)
@@ -207,18 +202,3 @@ val compact : string -> compact_result
     stale segments whose parent stamp no longer matches, which the next
     {!load} rejects with {!Wdsparql_error.Delta_chain_broken} instead of
     silently replaying them. *)
-
-type shard_result = {
-  sh_file : string;
-  sh_slices : int;
-  sh_stamp : int;
-  sh_members : string list;  (** member file basenames, slice order *)
-}
-
-val shard : ?slices:int -> src:string -> string -> shard_result
-(** [shard ~src out] splits the store at [src] (chain applied) into
-    [slices] member stores [out.s0 .. out.s<k-1>] partitioned by
-    predicate hash, plus the manifest at [out]. Each member is a
-    complete standalone store carrying the full dictionary (ids stay
-    global across members). [slices] defaults to 8; raises
-    {!Wdsparql_error.Invalid_input} outside [1, 4096]. *)

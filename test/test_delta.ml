@@ -1,11 +1,11 @@
-(* Format v2 (lib/storage): delta segments and shard manifests. The
-   load-bearing property is differential — a base store plus any chain
-   of appended segments must be indistinguishable from a monolithic
-   store recompiled from the same triple set: same answers, same
-   counts, same planner statistics (compared through terms; the two id
-   spaces differ). Plus chain validation, compact round-trips, lazy
-   shard routing, and corruption fuzzing of segment and manifest files
-   — damage always surfaces as [Wdsparql_error.Store_error]. *)
+(* Format v2 (lib/storage): delta segments. The load-bearing property
+   is differential — a base store plus any chain of appended segments
+   must be indistinguishable from a monolithic store recompiled from the
+   same triple set: same answers, same counts, same planner statistics
+   (compared through terms; the two id spaces differ). Plus chain
+   validation, compact round-trips, corruption fuzzing of segment files
+   and the refusal of retired shard manifests — damage always surfaces
+   as [Wdsparql_error.Store_error]. *)
 
 module E = Encoded.Encoded_graph
 module Err = Wdsparql_error
@@ -344,123 +344,6 @@ let test_segment_fuzz () =
       ignore (Storage.load ~verify:true path))
 
 (* ------------------------------------------------------------------ *)
-(* Sharding                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_shard_differential () =
-  with_dir (fun dir ->
-      let path = Filename.concat dir "s.wds" in
-      let g0 = base_graph 9 in
-      Storage.save (E.of_graph g0) path;
-      ignore (Storage.append ~adds:(Rdf.Graph.triples (add_pool 90)) path);
-      E.clear_cache ();
-      let overlay = Storage.load path in
-      let live =
-        List.init (E.cardinal overlay) (fun i ->
-            Rdf.Dictionary.decode_triple (E.dictionary overlay)
-              (E.nth_spo overlay i))
-      in
-      let mono_graph = Rdf.Graph.of_triples live in
-      let mono = E.of_graph mono_graph in
-      let man = Filename.concat dir "s.man" in
-      let r = Storage.shard ~slices:4 ~src:path man in
-      Alcotest.(check int) "member files" 4 (List.length r.Storage.sh_members);
-      E.clear_cache ();
-      let sharded = Storage.load ~verify:true man in
-      check_equivalent ~ctx:"sharded" sharded mono;
-      E.clear_cache ();
-      check_answers ~ctx:"sharded" ~seed:9 (Storage.load_graph man) mono_graph)
-
-let test_shard_lazy_routing () =
-  with_dir (fun dir ->
-      let path = Filename.concat dir "s.wds" in
-      Storage.save (E.of_graph (base_graph 11)) path;
-      let man = Filename.concat dir "s.man" in
-      ignore (Storage.shard ~slices:4 ~src:path man);
-      E.clear_cache ();
-      let sharded = Storage.load man in
-      Alcotest.(check (option int)) "nothing touched yet" (Some 0)
-        (E.members_touched sharded);
-      (* a predicate-bound probe forces only the owning member *)
-      let dict = E.dictionary sharded in
-      let pid =
-        Option.get (Rdf.Dictionary.find dict (Rdf.Term.iri "p:q0"))
-      in
-      ignore (E.match_count sharded ~p:pid ());
-      ignore (E.iter_matching sharded ~p:pid ~f:(fun _ -> ()) ());
-      Alcotest.(check (option int)) "one member touched" (Some 1)
-        (E.members_touched sharded);
-      (* a predicate-free scan fans out to all members *)
-      ignore (E.match_count sharded ~s:0 ());
-      Alcotest.(check (option int)) "fan-out touches all" (Some 4)
-        (E.members_touched sharded))
-
-let test_manifest_fuzz () =
-  with_dir (fun dir ->
-      let path = Filename.concat dir "s.wds" in
-      Storage.save (E.of_graph (base_graph 13)) path;
-      let man = Filename.concat dir "s.man" in
-      ignore (Storage.shard ~slices:3 ~src:path man);
-      let whole = read_file man in
-      let size = String.length whole in
-      (* truncations *)
-      List.iter
-        (fun len ->
-          write_file man (String.sub whole 0 len);
-          Alcotest.(check (option fault_t))
-            (Printf.sprintf "manifest truncated to %d" len)
-            (Some Err.Truncated)
-            (fault_of (fun () -> Storage.load man)))
-        [ 0; 4; 7; 8; 255 ];
-      List.iter
-        (fun len ->
-          write_file man (String.sub whole 0 len);
-          Alcotest.(check bool)
-            (Printf.sprintf "structured at %d" len)
-            true
-            (structured_only (fun () -> Storage.load man)))
-        [ 256; size - 1 ];
-      (* header and member-table bit flips *)
-      let step = max 1 (size / 64) in
-      let pos = ref 0 in
-      while !pos < size do
-        let b = Bytes.of_string whole in
-        Bytes.set b !pos (Char.chr (Char.code (Bytes.get b !pos) lxor 0x20));
-        write_file man (Bytes.to_string b);
-        Alcotest.(check bool)
-          (Printf.sprintf "manifest flip at %d" !pos)
-          true
-          (structured_only (fun () -> Storage.load ~verify:true man));
-        pos := !pos + step
-      done;
-      write_file man whole;
-      (* a member replaced by a different store: stamp pin fires *)
-      let member = Filename.concat dir "s.man.s1" in
-      let member_bytes = read_file member in
-      Storage.save (E.of_graph (base_graph 14)) member;
-      (match fault_of (fun () -> Storage.load man) with
-      | Some (Err.Manifest_mismatch _) -> ()
-      | _ -> Alcotest.fail "tampered member: expected Manifest_mismatch");
-      write_file member member_bytes;
-      (* a member deleted *)
-      Sys.remove member;
-      (match fault_of (fun () -> Storage.load man) with
-      | Some (Err.Manifest_mismatch { member = m }) ->
-          Alcotest.(check string) "names the member" "s.man.s1" m
-      | _ -> Alcotest.fail "missing member: expected Manifest_mismatch");
-      write_file member member_bytes;
-      (* a member with trailing delta segments diverges from its pin *)
-      ignore
-        (Storage.append
-           ~adds:(Rdf.Graph.triples (add_pool 77))
-           member);
-      (match fault_of (fun () -> Storage.load man) with
-      | Some (Err.Manifest_mismatch _) -> ()
-      | _ -> Alcotest.fail "member with segments: expected Manifest_mismatch");
-      Sys.remove (Storage.seg_path member 1);
-      ignore (Storage.load ~verify:true man))
-
-(* ------------------------------------------------------------------ *)
 (* Short-magic discrimination                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -469,17 +352,55 @@ let test_short_magic () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
+      (* [looks_like_store] must route every truncated store to the
+         store reader (so [--data] reports [Truncated] as [--store]
+         does), except the empty file, which is the empty Turtle
+         graph. *)
       List.iter
-        (fun (bytes, expected, what) ->
+        (fun (bytes, expected, sniffed, what) ->
           write_file tmp bytes;
           Alcotest.(check (option fault_t)) what (Some expected)
-            (fault_of (fun () -> Storage.load tmp)))
+            (fault_of (fun () -> Storage.load tmp));
+          Alcotest.(check bool) (what ^ ": sniffed as a store") sniffed
+            (Storage.looks_like_store tmp))
         [
-          ("", Err.Truncated, "empty file is truncated");
-          ("WDS", Err.Truncated, "store-magic prefix is truncated");
-          ("WDSMANI", Err.Truncated, "manifest-magic prefix is truncated");
-          ("XYZ", Err.Bad_magic, "foreign short file is bad magic");
-          ("NOTASTORE!", Err.Bad_magic, "foreign long file is bad magic");
+          ("", Err.Truncated, false, "empty file is truncated");
+          ("WDS", Err.Truncated, true, "store-magic prefix is truncated");
+          ("WDSTO", Err.Truncated, true, "longer store-magic prefix");
+          ("WDSTORE", Err.Truncated, true, "store magic less one byte");
+          ("WDSDE", Err.Truncated, true, "segment-magic prefix is truncated");
+          ("WDSMANI", Err.Truncated, true, "manifest-magic prefix is truncated");
+          ("XYZ", Err.Bad_magic, false, "foreign short file is bad magic");
+          ("NOTASTORE!", Err.Bad_magic, false, "foreign long file is bad magic");
+        ])
+
+(* The shard-manifest layout is retired: a file carrying its magic is
+   still sniffed as a store, and every reader refuses it with
+   [Bad_magic] and a message that names the fix. *)
+let test_retired_manifest () =
+  let tmp = Filename.temp_file "wdsparql_manifest" ".man" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      write_file tmp ("WDSMANI1" ^ String.make 248 '\000');
+      Alcotest.(check bool) "sniffed as a store" true
+        (Storage.looks_like_store tmp);
+      List.iter
+        (fun (what, f) ->
+          match f () with
+          | () -> Alcotest.failf "%s accepted a shard manifest" what
+          | exception
+              Err.Error (Err.Store_error { fault = Err.Bad_magic; msg; _ }) ->
+              Alcotest.(check bool)
+                (what ^ ": message names the retirement")
+                true
+                (Astring.String.is_infix ~affix:"retired" msg)
+          | exception Err.Error e ->
+              Alcotest.failf "%s: expected Bad_magic, got %a" what Err.pp e)
+        [
+          ("load", fun () -> ignore (Storage.load tmp));
+          ("load_graph", fun () -> ignore (Storage.load_graph tmp));
+          ("info", fun () -> ignore (Storage.info tmp));
         ])
 
 let () =
@@ -504,18 +425,11 @@ let () =
           Alcotest.test_case "segment corruption is structured" `Quick
             test_segment_fuzz;
         ] );
-      ( "shard",
-        [
-          Alcotest.test_case "manifest = monolithic recompile" `Quick
-            test_shard_differential;
-          Alcotest.test_case "lazy routing touches only the owner" `Quick
-            test_shard_lazy_routing;
-          Alcotest.test_case "manifest corruption is structured" `Quick
-            test_manifest_fuzz;
-        ] );
       ( "magic",
         [
           Alcotest.test_case "short files: Truncated vs Bad_magic" `Quick
             test_short_magic;
+          Alcotest.test_case "retired shard manifests are refused" `Quick
+            test_retired_manifest;
         ] );
     ]

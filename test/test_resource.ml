@@ -322,6 +322,30 @@ let test_enumerate () =
   exhausts (fun () ->
       Wd_core.Enumerate.solutions ~budget:(tiny ()) (star_forest 8) big_data)
 
+(* The reference evaluator honours the solution cap on its final
+   answers only: a cap equal to the answer count passes even though the
+   subpattern sets it joins are larger, one less trips it. *)
+let test_reference_eval_solutions () =
+  let graph =
+    Generator.random_graph ~seed:4 ~n:6 ~predicates:[ "q0"; "q1" ] ~m:24
+  in
+  let pattern = Sparql.Parser.parse_exn "{ ?x p:q0 ?y . ?y p:q1 ?z }" in
+  let part = Sparql.Parser.parse_exn "{ ?x p:q0 ?y }" in
+  let n = Sparql.Mapping.Set.cardinal (Sparql.Eval.eval pattern graph) in
+  check Alcotest.bool "a subpattern has more answers than the whole" true
+    (Sparql.Mapping.Set.cardinal (Sparql.Eval.eval part graph) > n && n > 1);
+  check Alcotest.int "cap = answer count passes" n
+    (Sparql.Mapping.Set.cardinal
+       (Sparql.Eval.eval ~budget:(Budget.make ~max_solutions:n ()) pattern
+          graph));
+  match
+    Sparql.Eval.eval ~budget:(Budget.make ~max_solutions:(n - 1) ()) pattern
+      graph
+  with
+  | _ -> Alcotest.fail "expected Budget.Exhausted"
+  | exception Budget.Exhausted { phase; _ } ->
+      check Alcotest.string "phase" "reference-eval" phase
+
 (* ------------------------------------------------------------------ *)
 (* Engine degradation                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -456,6 +480,8 @@ let () =
           Alcotest.test_case "pebble eval (cached)" `Quick test_pebble_eval;
           Alcotest.test_case "pebble eval (term)" `Quick test_pebble_eval_term;
           Alcotest.test_case "enumerate" `Quick test_enumerate;
+          Alcotest.test_case "reference eval solution cap" `Quick
+            test_reference_eval_solutions;
         ] );
       ( "degradation",
         [

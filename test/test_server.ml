@@ -566,6 +566,158 @@ let test_head_vars_survive_pruning () =
         (head_vars
            "{ ?x p:knows ?y OPTIONAL { ?x p:email ?z FILTER (?z != ?z) } }"))
 
+(* The output boundary over every store layout: a random graph with
+   literals is served once as a compiled store and once as a base store
+   under two appended delta segments; random well-designed queries go
+   through the server's full path (parse, prune, plan, evaluate over the
+   mapped store, SPARQL JSON), and the parsed results must equal the
+   reference evaluator's answers on the term-level graph. *)
+let literal_graph () =
+  let base =
+    Rdf.Graph.triples
+      (Rdf.Generator.random_graph ~seed:21 ~n:7 ~predicates:[ "q0"; "q1" ]
+         ~m:28)
+  in
+  let pred k = Rdf.Generator.pred (Printf.sprintf "q%d" (k mod 2)) in
+  let node k = Rdf.Generator.node k in
+  let lit k =
+    let value = Printf.sprintf "v%d" (k mod 3) in
+    Rdf.Term.Iri
+      (Rdf.Literal.encode
+         (match k mod 3 with
+         | 0 -> Rdf.Literal.plain value
+         | 1 -> Rdf.Literal.lang_tagged value "en"
+         | _ ->
+             Rdf.Literal.typed value
+               (Rdf.Iri.of_string "http://www.w3.org/2001/XMLSchema#integer")))
+  in
+  (* literal objects, and the constants random queries mention *)
+  let extra =
+    List.init 9 (fun k -> Rdf.Triple.make (node (k mod 7)) (pred k) (lit k))
+    @ List.init 5 (fun k ->
+          Rdf.Triple.make
+            (Rdf.Term.iri (Printf.sprintf "c:%d" k))
+            (pred k) (node (k + 1)))
+  in
+  base @ extra
+
+let mapping_of_binding = function
+  | Json.Obj fields ->
+      Sparql.Mapping.of_list
+        (List.map
+           (fun (var, term) ->
+             let field k = Option.bind (Json.member k term) Json.to_str in
+             let value =
+               match field "value" with
+               | Some v -> v
+               | None -> Alcotest.failf "binding of %s has no value" var
+             in
+             let iri =
+               match field "type" with
+               | Some "uri" -> Rdf.Iri.of_string value
+               | Some "literal" ->
+                   Rdf.Literal.encode
+                     {
+                       Rdf.Literal.value;
+                       lang = field "xml:lang";
+                       datatype = Option.map Rdf.Iri.of_string (field "datatype");
+                     }
+               | _ -> Alcotest.failf "unexpected term %a" Json.pp term
+             in
+             (Rdf.Variable.of_string var, iri))
+           fields)
+  | j -> Alcotest.failf "binding is not an object: %a" Json.pp j
+
+let check_served_answers ~ctx graph reference_graph =
+  with_open_server graph (fun port ->
+      let answers = ref 0 and literals = ref 0 in
+      for seed = 1 to 32 do
+        let pattern =
+          Workload.Query_families.random_wd_pattern ~seed ~triples:4 ~vars:4
+            ~preds:2 ~depth:2 ~union:(1 + (seed mod 2))
+        in
+        let q = Sparql.Printer.to_string pattern in
+        let bindings =
+          match
+            Option.bind
+              (Json.member "results" (query_json ~port q))
+              (Json.member "bindings")
+            |> Fun.flip Option.bind Json.to_list
+          with
+          | Some bs -> bs
+          | None -> Alcotest.failf "%s: no results.bindings for %s" ctx q
+        in
+        let served =
+          Sparql.Mapping.Set.of_list (List.map mapping_of_binding bindings)
+        in
+        let reference = Sparql.Eval.eval pattern reference_graph in
+        if
+          List.length bindings <> Sparql.Mapping.Set.cardinal reference
+          || not (Sparql.Mapping.Set.equal served reference)
+        then
+          Alcotest.failf "%s: served %d answers, reference %d, for %s" ctx
+            (List.length bindings)
+            (Sparql.Mapping.Set.cardinal reference)
+            q;
+        Sparql.Mapping.Set.iter
+          (fun m ->
+            incr answers;
+            List.iter
+              (fun (_, iri) ->
+                if Rdf.Literal.is_encoded iri then incr literals)
+              (Sparql.Mapping.to_list m))
+          served
+      done;
+      (* not vacuous: the queries have answers, some binding literals *)
+      check Alcotest.bool (ctx ^ ": literal answers served") true
+        (!answers > 0 && !literals > 0))
+
+let test_store_layouts_match_reference () =
+  let dir = Filename.temp_file "wdsparql_srv_layouts" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
+        (Sys.readdir dir);
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () ->
+      let triples = literal_graph () in
+      let reference_graph = Rdf.Graph.of_triples triples in
+      let compiled = Filename.concat dir "full.wds" in
+      Storage.save (Encoded.Encoded_graph.of_graph reference_graph) compiled;
+      check_served_answers ~ctx:"compiled store"
+        (Storage.load_graph compiled) reference_graph;
+      (* the chained store reaches the same triples: its base lacks a
+         third of them and holds triples that are not in the graph; the
+         first segment adds half the missing ones and deletes the
+         strangers, the second adds the rest *)
+      let missing = List.filteri (fun i _ -> i mod 3 = 0) triples in
+      let strangers =
+        List.filter
+          (fun t -> not (List.mem t triples))
+          (Rdf.Graph.triples
+             (Rdf.Generator.random_graph ~seed:22 ~n:9
+                ~predicates:[ "q0"; "q1"; "q2" ] ~m:12))
+      in
+      let chained = Filename.concat dir "chained.wds" in
+      Storage.save
+        (Encoded.Encoded_graph.of_graph
+           (Rdf.Graph.of_triples
+              (List.filter (fun t -> not (List.mem t missing)) triples
+              @ strangers)))
+        chained;
+      let append ?dels adds =
+        match Storage.append ~adds ?dels chained with
+        | Some _ -> ()
+        | None -> Alcotest.fail "append was a no-op"
+      in
+      append ~dels:strangers (List.filteri (fun i _ -> i mod 2 = 0) missing);
+      append (List.filteri (fun i _ -> i mod 2 = 1) missing);
+      check_served_answers ~ctx:"base + 2 segments"
+        (Storage.load_graph chained) reference_graph)
+
 (* A poisoned request must fail alone. Request 1 evaluates a slow query
    under the plan entry's lock; requests 2 (healthy) and 3 (poisoned by
    the schedule) arrive for the same plan key while it runs, so both hold
@@ -666,6 +818,8 @@ let () =
             test_literal_bindings;
           Alcotest.test_case "pruned variables stay in the head" `Quick
             test_head_vars_survive_pruning;
+          Alcotest.test_case "store layouts match the reference evaluator"
+            `Quick test_store_layouts_match_reference;
         ] );
       ( "smoke",
         [

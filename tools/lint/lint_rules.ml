@@ -145,7 +145,7 @@ let occurrences ~needle hay =
 
 (* Shared-state discipline: a module that creates its own [Mutex.t] is
    advertising that it is touched concurrently (server worker threads,
-   lazy shard forcing, or callers on several domains), so every mutation
+   or callers on several domains), so every mutation
    of one of its top-level hash tables must be under a lock — an
    unguarded [Hashtbl.replace]/[add] next to a mutex is a data race. The
    check is lexical: from the mutation, scan back to the top-level
